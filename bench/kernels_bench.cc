@@ -60,20 +60,6 @@ bool BitwiseEqual(const la::Matrix& a, const la::Matrix& b) {
          a.data() == b.data();
 }
 
-/// Worst absolute error normalized by the reference's largest magnitude.
-/// The per-element relative metric below is meaningless for a quantized
-/// path: quantization error is absolute, so elements that happen to land
-/// near zero show unbounded relative error while the answer is fine.
-double MaxScaledError(const la::Matrix& got, const la::Matrix& want) {
-  double worst = 0.0;
-  double magnitude = 1e-12;
-  for (size_t i = 0; i < want.size(); ++i) {
-    magnitude = std::max(magnitude, std::abs(want.data()[i]));
-    worst = std::max(worst, std::abs(got.data()[i] - want.data()[i]));
-  }
-  return worst / magnitude;
-}
-
 double MaxRelError(const la::Matrix& got, const la::Matrix& want) {
   double worst = 0.0;
   for (size_t i = 0; i < want.size(); ++i) {
@@ -116,7 +102,7 @@ struct CvRow {
 
 struct InferenceRow {
   std::string shape;    // "n x k x m"
-  std::string variant;  // blocked / prepacked / int8
+  std::string variant;  // blocked / prepacked
   double seconds = 0.0;
   double gflops = 0.0;
   double speedup_vs_blocked = 0.0;
@@ -130,8 +116,6 @@ struct Report {
   double gemm_blocked_speedup_1t = 0.0;
   double max_rel_error_vs_naive = 0.0;
   double fold_vs_intra_speedup = 0.0;
-  double int8_speedup_vs_blocked = 0.0;
-  double int8_max_rel_error = 0.0;
   bool gates_ok = true;
 };
 
@@ -148,9 +132,6 @@ bool WriteJson(const Report& r, const std::string& path) {
                r.gemm_blocked_speedup_1t);
   std::fprintf(f, "  \"fold_vs_intra_speedup\": %.2f,\n",
                r.fold_vs_intra_speedup);
-  std::fprintf(f, "  \"int8_speedup_vs_blocked\": %.2f,\n",
-               r.int8_speedup_vs_blocked);
-  std::fprintf(f, "  \"int8_max_rel_error\": %.3e,\n", r.int8_max_rel_error);
   std::fprintf(f, "  \"gates_ok\": %s,\n", r.gates_ok ? "true" : "false");
   std::fprintf(f, "  \"inference\": [\n");
   for (size_t i = 0; i < r.inference.size(); ++i) {
@@ -336,16 +317,12 @@ int main(int argc, char** argv) {
                 csr_exact ? "ok" : "FAIL", csr_tr_exact ? "ok" : "FAIL");
   }
 
-  // --- Inference shapes: per-call blocked vs prepacked vs int8 (PR 10).
-  // Gates: the prepacked f32 path is bitwise equal to the per-call blocked
-  // path; both are bitwise invariant to batch composition (row i of a
-  // batch-of-N equals the same row as a batch-of-1, the contract the
-  // coalescing server depends on); the int8 path is >= kInt8SpeedupFloor
-  // faster than per-call blocked on the inference shape and stays within
-  // kInt8ErrorBudget relative of the f32 answer.
+  // --- Inference shapes: per-call blocked vs prepacked.
+  // Gates: the prepacked path is bitwise equal to the per-call blocked
+  // path and bitwise invariant to batch composition (row i of a
+  // batch-of-N equals the same row as a batch-of-1, the contract
+  // PredictInterestBatch depends on).
   {
-    const double int8_speedup_floor = smoke ? 1.2 : 2.0;
-    const double int8_error_budget = 0.05;
     const size_t batch = 256, depth = 256, width = 64;
     const size_t inf_reps = smoke ? 200 : 1000;
     char shape_buf[64];
@@ -359,9 +336,8 @@ int main(int argc, char** argv) {
                              static_cast<double>(width);
 
     la::PackedB packed = la::PackMatrixB(ib, par.kernels);
-    la::QuantizedB quantized = la::QuantizeMatrixB(ib);
 
-    la::Matrix blocked_out, prepacked_out, int8_out;
+    la::Matrix blocked_out, prepacked_out;
     double blocked_s = BestSeconds(reps, [&] {
       for (size_t r = 0; r < inf_reps; ++r) {
         la::MatMulInto(ia, ib, &blocked_out, par);
@@ -372,22 +348,11 @@ int main(int argc, char** argv) {
         la::internal::BlockedMatMulPrepacked(ia, packed, &prepacked_out, par);
       }
     }) / static_cast<double>(inf_reps);
-    double int8_s = BestSeconds(reps, [&] {
-      for (size_t r = 0; r < inf_reps; ++r) {
-        la::internal::Int8MatMulPrepacked(ia, quantized, &int8_out, par);
-      }
-    }) / static_cast<double>(inf_reps);
 
     const bool prepacked_bitwise = BitwiseEqual(prepacked_out, blocked_out);
-    const double int8_rel = MaxScaledError(int8_out, blocked_out);
-    report.int8_max_rel_error = int8_rel;
-    const bool int8_accurate = int8_rel <= int8_error_budget;
-    report.int8_speedup_vs_blocked =
-        int8_s > 0.0 ? blocked_s / int8_s : 0.0;
-    const bool int8_fast = report.int8_speedup_vs_blocked >= int8_speedup_floor;
 
-    // Batch-composition invariance, f32 prepacked AND int8: every row of
-    // the batch product must be bitwise equal to the one-row product.
+    // Batch-composition invariance: every row of the batch product must be
+    // bitwise equal to the one-row product.
     bool batch_invariant = true;
     la::Matrix one(1, depth), single;
     for (size_t r = 0; r < batch && batch_invariant; r += 17) {
@@ -398,15 +363,8 @@ int main(int argc, char** argv) {
           batch_invariant = false;
         }
       }
-      la::internal::Int8MatMulPrepacked(one, quantized, &single, par);
-      for (size_t c = 0; c < width; ++c) {
-        if (single.RowPtr(0)[c] != int8_out.RowPtr(r)[c]) {
-          batch_invariant = false;
-        }
-      }
     }
-    gates_ok = gates_ok && prepacked_bitwise && batch_invariant &&
-               int8_accurate && int8_fast;
+    gates_ok = gates_ok && prepacked_bitwise && batch_invariant;
 
     auto add_row = [&](const char* variant, double seconds) {
       InferenceRow row;
@@ -424,14 +382,9 @@ int main(int argc, char** argv) {
     };
     add_row("blocked", blocked_s);
     add_row("prepacked", prepacked_s);
-    add_row("int8", int8_s);
-    std::printf(
-        "inference prepacked_bitwise=%s batch_invariant=%s "
-        "int8_rel=%.2e (%s) int8_speedup=%.2f (floor %.1f: %s)\n",
-        prepacked_bitwise ? "ok" : "FAIL", batch_invariant ? "ok" : "FAIL",
-        int8_rel, int8_accurate ? "ok" : "FAIL",
-        report.int8_speedup_vs_blocked, int8_speedup_floor,
-        int8_fast ? "ok" : "FAIL");
+    std::printf("inference prepacked_bitwise=%s batch_invariant=%s\n",
+                prepacked_bitwise ? "ok" : "FAIL",
+                batch_invariant ? "ok" : "FAIL");
   }
 
   // --- End-to-end cross-validation at both grains. Shards pinned at 16 in

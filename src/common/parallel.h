@@ -41,12 +41,6 @@ struct KernelConfig {
   /// Columns of the right operand per packed panel (rounded up to the
   /// micro-kernel width internally).
   size_t nc = 128;
-  /// Opt-in int8 quantized path for inference GEMMs served from the
-  /// packed-weight cache (la/weight_cache.h). The float dispatchers ignore
-  /// this flag — kBlocked stays the bitwise-deterministic reference mode —
-  /// and only cache-aware consumers (nn::Dense inference,
-  /// serve::InferenceServer) read it to select la::Int8MatMulPrepacked.
-  bool int8_inference = false;
 };
 
 /// Execution configuration for the parallel primitives, threaded through

@@ -35,7 +35,7 @@ class SystemClock : public Clock {
 /// Deterministic clock for tests and simulations: sleeping advances
 /// simulated time, so a 10-second backoff schedule runs in microseconds.
 /// The counter is atomic so one thread can Advance() while another polls
-/// NowMillis() (the inference server's deadline tests do exactly that).
+/// NowMillis().
 class ManualClock : public Clock {
  public:
   explicit ManualClock(int64_t start_ms = 0) : now_ms_(start_ms) {}

@@ -38,7 +38,6 @@ core::SupervisorOptions EngineOptions::SupervisorView() const {
 serve::ServingOptions EngineOptions::ServingView() const {
   serve::ServingOptions view = serving;
   view.model.parallelism = parallelism;
-  view.server.parallelism = parallelism;
   // The serving model classifies into the predictor's class space so its
   // output lines up with the Table-2 likes classes the vote path uses.
   view.model.num_classes = std::max<size_t>(predictor.num_classes, 1);
@@ -57,12 +56,9 @@ Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
       supervisor_(core::Pipeline(options_.PipelineView()),
                   options_.SupervisorView()),
-      serving_(std::make_shared<const ServingData>()) {
-  if (options_.serving.enable_model) {
-    inference_ =
-        std::make_unique<serve::InferenceServer>(options_.ServingView().server);
-  }
-}
+      serving_(std::make_shared<const ServingData>()),
+      inference_(std::make_unique<serve::InferenceServer>(
+          options_.parallelism)) {}
 
 std::shared_ptr<const Engine::ServingData> Engine::ServingSnapshot() const {
   std::lock_guard<std::mutex> lock(index_mu_);
@@ -75,12 +71,6 @@ std::shared_ptr<const Engine::IndexMap> Engine::IndexSnapshot() const {
   // public pin-a-generation contract unchanged.
   std::shared_ptr<const ServingData> data = ServingSnapshot();
   return std::shared_ptr<const IndexMap>(data, &data->indexes);
-}
-
-void Engine::SwapIndexes(IndexMap built, uint64_t generation) {
-  ServingData data;
-  data.indexes = std::move(built);
-  SwapServing(std::move(data), generation);
 }
 
 void Engine::SwapServing(ServingData data, uint64_t generation) {
@@ -107,13 +97,10 @@ EngineStatsSnapshot Engine::stats() const {
   s.blocks_decoded = counters_.blocks_decoded.load(std::memory_order_relaxed);
   s.model_predictions =
       counters_.model_predictions.load(std::memory_order_relaxed);
-  if (inference_ != nullptr) {
-    const serve::InferenceServerStats is = inference_->stats();
-    s.inference_batches = is.batches;
-    s.inference_batched_rows = is.batched_rows;
-    s.inference_queue_rejections = is.queue_full_rejections;
-    s.model_swaps = is.model_swaps;
-  }
+  const serve::InferenceServerStats is = inference_->stats();
+  s.inference_batches = is.forward_passes;
+  s.inference_batched_rows = is.rows;
+  s.model_swaps = is.model_swaps;
   return s;
 }
 
@@ -174,7 +161,7 @@ StatusOr<BuildIndexReport> Engine::BuildIndex(store::Database& db) {
   // for the inference server. Features hash term STRINGS, so the model
   // keeps scoring across rebuilds even though vocabulary ids change.
   la::Matrix tweet_features;
-  if (inference_ != nullptr && tweet_corpus.size() > 0) {
+  if (tweet_corpus.size() > 0) {
     const serve::ServingOptions serving = options_.ServingView();
     serve::HashedFeaturizer featurizer(serving.model.feature_dim);
     tweet_features = featurizer.FeaturizeCorpus(tweet_corpus);
@@ -211,9 +198,11 @@ StatusOr<index::IndexLoadReport> Engine::LoadIndex() {
     return Status::FailedPrecondition("engine: no index directory configured");
   }
   index::IndexStore store(io(), dir, options_.index_retain);
-  IndexMap loaded;
-  StatusOr<index::IndexLoadReport> report = store.Load(&loaded);
-  if (report.ok()) SwapIndexes(std::move(loaded), report->generation);
+  // Indexes only: feature rows come from BuildIndex, so PredictInterest
+  // votes until the next build.
+  ServingData data;
+  StatusOr<index::IndexLoadReport> report = store.Load(&data.indexes);
+  if (report.ok()) SwapServing(std::move(data), report->generation);
   return report;
 }
 
@@ -380,15 +369,12 @@ StatusOr<InterestPrediction> Engine::PredictInterest(
   // and a model generation is installed; anything else votes. Features and
   // indexes were published by the same swap, so the rows line up by
   // construction — the guard covers feature-less snapshots (LoadIndex).
-  if (inference_ != nullptr && inference_->has_model() &&
-      snapshot->tweet_features.rows() > 0) {
+  if (inference_->has_model() && snapshot->tweet_features.rows() > 0) {
     la::Matrix features(hits->size(), snapshot->tweet_features.cols());
     if (GatherCandidateFeatures(snapshot->tweet_features, *hits, &features,
                                 0)) {
-      const uint64_t version = inference_->model_version();
-      StatusOr<la::Matrix> probs = options_.serving.coalesce
-                                       ? inference_->Predict(features)
-                                       : inference_->PredictDirect(features);
+      uint64_t version = 0;
+      StatusOr<la::Matrix> probs = inference_->Predict(features, &version);
       if (!probs.ok()) {
         counters_.serving_errors.fetch_add(1, std::memory_order_relaxed);
         return probs.status();
@@ -411,7 +397,7 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
 
   // Retrieval pass: collect candidates per draft, record which drafts can
   // take the model path, and count their total feature rows so all drafts
-  // share ONE coalesced inference call.
+  // share ONE inference call.
   struct Pending {
     size_t result_index = 0;
     std::vector<QueryHit> hits;
@@ -419,8 +405,8 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
   };
   std::vector<Pending> pending;
   size_t total_rows = 0;
-  const bool model_live = inference_ != nullptr && inference_->has_model() &&
-                          snapshot->tweet_features.rows() > 0;
+  const bool model_live =
+      inference_->has_model() && snapshot->tweet_features.rows() > 0;
   for (const std::string& draft : drafts) {
     counters_.interest_predictions.fetch_add(1, std::memory_order_relaxed);
     StatusOr<std::vector<QueryHit>> hits = QueryOn(
@@ -459,10 +445,8 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
     GatherCandidateFeatures(snapshot->tweet_features, p.hits, &features,
                             p.first_row);
   }
-  const uint64_t version = inference_->model_version();
-  StatusOr<la::Matrix> probs = options_.serving.coalesce
-                                   ? inference_->Predict(features)
-                                   : inference_->PredictDirect(features);
+  uint64_t version = 0;
+  StatusOr<la::Matrix> probs = inference_->Predict(features, &version);
   if (!probs.ok()) {
     for (Pending& p : pending) {
       counters_.serving_errors.fetch_add(1, std::memory_order_relaxed);

@@ -60,10 +60,9 @@ struct EngineOptions {
   /// Tests point this at the storage fault injector.
   FileIo* io = nullptr;
 
-  /// Batched model serving: PredictInterest reranks retrieved candidates
-  /// through a small MLP (trained per BuildIndex over hashed features)
-  /// via the coalescing InferenceServer. Disable `serving.enable_model`
-  /// to reproduce the PR-8 BM25 class vote exactly.
+  /// Model serving: PredictInterest reranks retrieved candidates through
+  /// a small MLP (trained per BuildIndex over hashed features) served by
+  /// the InferenceServer on the caller's thread.
   serve::ServingOptions serving;
 
   /// Per-module views: the aggregate copied down with the authoritative
@@ -88,18 +87,19 @@ struct QueryHit {
   double model_score = 0.0;
 };
 
-/// PredictInterest outcome. With the serving model enabled the retrieved
-/// candidates are scored by the trained MLP and the class weights are the
-/// retrieval-score-weighted average of the model's per-candidate class
-/// probabilities (neighbors come back reranked by model interest);
-/// without it, the PR-8 BM25 class vote.
+/// PredictInterest outcome. With a model generation installed the
+/// retrieved candidates are scored by the trained MLP and the class weights
+/// are the retrieval-score-weighted average of the model's per-candidate
+/// class probabilities (neighbors come back reranked by model interest);
+/// without one (or without feature rows, e.g. after LoadIndex or Recover),
+/// the BM25 class vote.
 struct InterestPrediction {
   int predicted_class = 0;            // argmax of class_weights
   std::vector<double> class_weights;  // per-class mass, normalised to 1
   double confidence = 0.0;            // class_weights[predicted_class]
   std::vector<QueryHit> neighbors;    // the supporting tweets
   bool model_reranked = false;        // true when the MLP scored the hits
-  uint64_t model_version = 0;         // serving-model generation used
+  uint64_t model_version = 0;         // generation that scored the hits
 };
 
 /// A point-in-time copy of the Engine's serving counters. The counters
@@ -114,21 +114,14 @@ struct EngineStatsSnapshot {
   uint64_t index_swaps = 0;          // BuildIndex / LoadIndex generation swaps
   uint64_t docs_scored = 0;          // summed QueryStats::docs_scored
   uint64_t blocks_decoded = 0;       // summed QueryStats::blocks_decoded
-  // Batched-inference telemetry, merged from InferenceServerStats (all
-  // zero when the serving model is disabled).
+  // Inference telemetry, merged from InferenceServerStats.
   uint64_t model_predictions = 0;    // PredictInterest answered by the MLP
-  uint64_t inference_batches = 0;    // coalesced batches executed
-  uint64_t inference_batched_rows = 0;
+  uint64_t inference_batches = 0;    // model forward passes
+  uint64_t inference_batched_rows = 0;  // feature rows scored
+  // Always 0: inference runs on the caller's thread, so nothing queues or
+  // sheds. Kept for perfbench/serve_read.cc, which reports it.
   uint64_t inference_queue_rejections = 0;
   uint64_t model_swaps = 0;          // serving-model generations installed
-
-  /// Mean rows per coalesced batch (0 before the first batch).
-  double MeanBatchFill() const {
-    return inference_batches == 0
-               ? 0.0
-               : static_cast<double>(inference_batched_rows) /
-                     static_cast<double>(inference_batches);
-  }
 };
 
 /// What Engine::BuildIndex produced.
@@ -203,17 +196,19 @@ class Engine {
 
   /// Audience-interest estimate for a draft article: retrieves the top-k
   /// most similar tweets and — when the serving model is live — scores
-  /// them through the batched inference server, weighting each
+  /// them through the inference server on this thread, weighting each
   /// candidate's class probabilities by its retrieval score. Falls back
   /// to the BM25 class vote until a model is trained (BuildIndex trains
-  /// one per generation). Returns kNotFound when nothing matches.
+  /// one per generation) or when the snapshot has no feature rows
+  /// (LoadIndex, Recover). Returns kNotFound when nothing matches.
   StatusOr<InterestPrediction> PredictInterest(
       const std::string& draft, size_t k,
       index::QueryStats* stats = nullptr) const;
 
   /// Scores many drafts in one call: all candidates retrieved for all
   /// drafts are concatenated into a single inference batch (one GEMM
-  /// chain), then split back per draft. Per-draft failures (e.g. no
+  /// chain), then split back per draft. Each answer is bitwise equal to
+  /// the corresponding PredictInterest call. Per-draft failures (e.g. no
   /// matching tweets) come back as that element's Status without failing
   /// the rest.
   std::vector<StatusOr<InterestPrediction>> PredictInterestBatch(
@@ -238,17 +233,14 @@ class Engine {
   /// Serving counters since construction (see EngineStatsSnapshot).
   EngineStatsSnapshot stats() const;
 
-  /// The batched inference server, or nullptr when the serving model is
-  /// disabled. Benches use it to compare the coalesced path against the
-  /// per-call fallback on identical inputs.
+  /// The inference server PredictInterest scores through (never null).
+  /// Benches use it to time the model layer on its own.
   serve::InferenceServer* inference_server() const {
     return inference_.get();
   }
 
   /// Serving-model generation currently installed (0 = none yet).
-  uint64_t model_version() const {
-    return inference_ == nullptr ? 0 : inference_->model_version();
-  }
+  uint64_t model_version() const { return inference_->model_version(); }
 
   /// Escape hatch to the supervisor for follower/promotion flows.
   core::PipelineSupervisor& supervisor() { return supervisor_; }
@@ -287,9 +279,8 @@ class Engine {
                                         const std::vector<std::string>& terms,
                                         size_t k,
                                         index::QueryStats* stats) const;
-  /// Publishes `built` (indexes without features) as the new generation.
-  void SwapIndexes(IndexMap built, uint64_t generation);
-  /// Publishes a full serving snapshot (indexes + candidate features).
+  /// Publishes a serving snapshot (indexes, plus candidate features when
+  /// BuildIndex made them) as the new generation.
   void SwapServing(ServingData data, uint64_t generation);
   /// Combines retrieval hits and per-candidate model probabilities into a
   /// prediction (weights normalised, neighbors reranked by model score).

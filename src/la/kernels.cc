@@ -15,11 +15,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 #include "common/arena.h"
 
@@ -204,38 +199,6 @@ PackedB PackMatrixB(const Matrix& b, const KernelConfig& cfg) {
   return packed;
 }
 
-QuantizedB QuantizeMatrixB(const Matrix& b) {
-  QuantizedB q;
-  q.k = b.rows();
-  q.m = b.cols();
-  q.data.resize(q.k * q.m);
-  q.scale.assign(q.m, 1.0);
-  q.offset.assign(q.m, 0.0);
-  q.colsum.assign(q.m, 0);
-  for (size_t j = 0; j < q.m; ++j) {
-    double lo = 0.0;
-    double hi = 0.0;
-    for (size_t p = 0; p < q.k; ++p) {
-      const double v = b.RowPtr(p)[j];
-      if (p == 0 || v < lo) lo = v;
-      if (p == 0 || v > hi) hi = v;
-    }
-    const double range = hi - lo;
-    const double scale = range > 0.0 ? range / 255.0 : 1.0;
-    q.scale[j] = scale;
-    q.offset[j] = lo + 128.0 * scale;
-    int8_t* col = q.data.data() + j * q.k;
-    int32_t colsum = 0;
-    for (size_t p = 0; p < q.k; ++p) {
-      const long code = std::lround((b.RowPtr(p)[j] - lo) / scale);
-      col[p] = static_cast<int8_t>(std::clamp(code, 0L, 255L) - 128);
-      colsum += static_cast<int32_t>(col[p]);
-    }
-    q.colsum[j] = colsum;
-  }
-  return q;
-}
-
 namespace internal {
 
 void BlockedMatMul(const Matrix& a, const Matrix& b, Matrix* out,
@@ -282,228 +245,6 @@ void BlockedMatMulPrepacked(const Matrix& a, const PackedB& b, Matrix* out,
       [&](size_t jc, size_t pc, size_t, size_t) {
         return b.data.data() + b.panel_offset[(jc / nc) * num_pc + pc / kc];
       });
-}
-
-namespace {
-
-/// A-rows quantized per staging block: bounds the per-shard code scratch
-/// at kQRowBlock * k bytes and keeps it L2-resident.
-constexpr size_t kQRowBlock = 64;
-
-/// Round-half-away-from-zero without the libm lround call or a data-
-/// dependent branch: the quantizer runs once per input element, and on
-/// random-sign inputs a branchy 0.5/-0.5 select mispredicts half the
-/// time, which alone used to dominate the whole int8 path. copysign is
-/// two bit ops, so the loop vectorizes. Matches std::lround for every
-/// |v| < 2^31 input.
-int32_t FastRound(double v) {
-  return static_cast<int32_t>(v + std::copysign(0.5, v));
-}
-
-/// Quantizes one A row into unsigned bytes biased by +128 — the layout
-/// the u8 x s8 VNNI instruction consumes directly, and the AVX2/scalar
-/// paths consume after the exact bias correction (dot - 128 * colsum).
-/// Returns the symmetric scale (maxabs/127, or 1.0 for a zero row) and
-/// the exact f64 row sum via `rowsum`. Both FP reductions run in four
-/// fixed accumulator lanes — the grouping is a pure function of k, so
-/// results stay deterministic, and the lanes break the serial dependence
-/// so the loops vectorize.
-double QuantizeRowInt8(const double* row, size_t k, uint8_t* qa,
-                       double* rowsum) {
-  double max_lane[4] = {0.0, 0.0, 0.0, 0.0};
-  double sum_lane[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    for (size_t l = 0; l < 4; ++l) {
-      max_lane[l] = std::max(max_lane[l], std::fabs(row[p + l]));
-      sum_lane[l] += row[p + l];
-    }
-  }
-  for (; p < k; ++p) {
-    max_lane[p % 4] = std::max(max_lane[p % 4], std::fabs(row[p]));
-    sum_lane[p % 4] += row[p];
-  }
-  const double maxabs = std::max(std::max(max_lane[0], max_lane[1]),
-                                 std::max(max_lane[2], max_lane[3]));
-  *rowsum = (sum_lane[0] + sum_lane[1]) + (sum_lane[2] + sum_lane[3]);
-  const double sa = maxabs > 0.0 ? maxabs / 127.0 : 1.0;
-  const double inv = 1.0 / sa;
-  for (p = 0; p < k; ++p) {
-    qa[p] = static_cast<uint8_t>(FastRound(row[p] * inv) + 128);
-  }
-  return sa;
-}
-
-/// k-length biased-u8 x s8 dot product in an int32 accumulator (bias NOT
-/// removed — the caller subtracts 128 * colsum). Integer addition is
-/// associative, so any grouping produces the identical sum — the SIMD
-/// kernels below and this scalar fallback are bitwise interchangeable.
-int32_t DotU8S8(const uint8_t* a, const int8_t* b, size_t k) {
-  int32_t result = 0;
-  for (size_t p = 0; p < k; ++p) {
-    result += static_cast<int32_t>(a[p]) * static_cast<int32_t>(b[p]);
-  }
-  return result;
-}
-
-#if defined(__AVX512VNNI__) && defined(__AVX512BW__) && defined(__AVX512F__)
-
-/// 1 A-row x 4 B-columns on AVX-512 VNNI: vpdpbusd multiply-accumulates
-/// 64 u8 x s8 products into int32 lanes per instruction, so a 64-element
-/// chunk of four columns costs 5 loads + 4 dpbusd. u8 x s8 quads sum to
-/// at most 4 * 255 * 128 < 2^17 per lane step; the int32 lanes hold the
-/// full k <= ~2^14 reduction without wrapping.
-void DotVnni1x4(const uint8_t* a, const int8_t* b0, const int8_t* b1,
-                const int8_t* b2, const int8_t* b3, size_t k,
-                int32_t* acc) {
-  __m512i v0 = _mm512_setzero_si512();
-  __m512i v1 = _mm512_setzero_si512();
-  __m512i v2 = _mm512_setzero_si512();
-  __m512i v3 = _mm512_setzero_si512();
-  size_t p = 0;
-  for (; p + 64 <= k; p += 64) {
-    const __m512i va = _mm512_loadu_si512(a + p);
-    v0 = _mm512_dpbusd_epi32(v0, va, _mm512_loadu_si512(b0 + p));
-    v1 = _mm512_dpbusd_epi32(v1, va, _mm512_loadu_si512(b1 + p));
-    v2 = _mm512_dpbusd_epi32(v2, va, _mm512_loadu_si512(b2 + p));
-    v3 = _mm512_dpbusd_epi32(v3, va, _mm512_loadu_si512(b3 + p));
-  }
-  acc[0] = _mm512_reduce_add_epi32(v0) + DotU8S8(a + p, b0 + p, k - p);
-  acc[1] = _mm512_reduce_add_epi32(v1) + DotU8S8(a + p, b1 + p, k - p);
-  acc[2] = _mm512_reduce_add_epi32(v2) + DotU8S8(a + p, b2 + p, k - p);
-  acc[3] = _mm512_reduce_add_epi32(v3) + DotU8S8(a + p, b3 + p, k - p);
-}
-
-#elif defined(__AVX2__)
-
-int32_t HSum(__m256i acc) {
-  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-  sum = _mm_hadd_epi32(sum, sum);
-  sum = _mm_hadd_epi32(sum, sum);
-  return _mm_cvtsi128_si32(sum);
-}
-
-/// 4 A-rows x 2 B-columns on AVX2: codes are widened to int16 lanes and
-/// multiply-accumulated pairwise with vpmaddwd (16 MACs per instruction).
-/// Biased-u8 and s8 inputs both fit int16 exactly, and lane pairs sum
-/// below 255 * 127 * 2 < 2^16, so the int16->int32 pairwise path never
-/// wraps. Register blocking amortizes each widen over the opposite tile
-/// edge — 6 loads+widens feed 8 multiply-accumulates.
-void Dot4x2U8S8(const uint8_t* a0, const uint8_t* a1, const uint8_t* a2,
-                const uint8_t* a3, const int8_t* b0, const int8_t* b1,
-                size_t k, int32_t* acc) {
-  __m256i v[4][2];
-  for (auto& row : v) row[0] = row[1] = _mm256_setzero_si256();
-  size_t p = 0;
-  const uint8_t* rows[4] = {a0, a1, a2, a3};
-  for (; p + 16 <= k; p += 16) {
-    const __m256i wb0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b0 + p)));
-    const __m256i wb1 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b1 + p)));
-    for (size_t i = 0; i < 4; ++i) {
-      const __m256i wa = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[i] + p)));
-      v[i][0] = _mm256_add_epi32(v[i][0], _mm256_madd_epi16(wa, wb0));
-      v[i][1] = _mm256_add_epi32(v[i][1], _mm256_madd_epi16(wa, wb1));
-    }
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    acc[i * 2] = HSum(v[i][0]) + DotU8S8(rows[i] + p, b0 + p, k - p);
-    acc[i * 2 + 1] = HSum(v[i][1]) + DotU8S8(rows[i] + p, b1 + p, k - p);
-  }
-}
-
-#endif  // __AVX2__
-
-}  // namespace
-
-void Int8MatMulPrepacked(const Matrix& a, const QuantizedB& b, Matrix* out,
-                         const Parallelism& par) {
-  assert(a.cols() == b.k);
-  assert(out != &a);
-  const size_t n = a.rows();
-  const size_t k = b.k;
-  const size_t m = b.m;
-  out->Resize(n, m);
-  if (n == 0 || m == 0) return;
-  ParallelFor(par, n, [&](size_t, size_t begin, size_t end) {
-    if (begin == end) return;
-    // Code scratch lives in a reinterpreted arena buffer; uint8_t is a
-    // character type, so the aliasing is well-defined.
-    ArenaBuffer scratch =
-        Arena::ThreadLocal().Acquire(kQRowBlock * k / 8 + 1);
-    uint8_t* qa = reinterpret_cast<uint8_t*>(scratch.data());
-    double sa[kQRowBlock];
-    double rowsum[kQRowBlock];
-    const double* scale = b.scale.data();
-    const double* offset = b.offset.data();
-    const int32_t* colsum = b.colsum.data();
-    // Biased dot -> value: true_dot = acc - 128 * colsum[j], then
-    // dequantize. Exact integer arithmetic, so the correction is lossless.
-    const auto dequant = [&](size_t i, size_t j, int32_t acc) {
-      return scale[j] * sa[i] *
-                 static_cast<double>(acc - 128 * colsum[j]) +
-             offset[j] * rowsum[i];
-    };
-    for (size_t block = begin; block < end; block += kQRowBlock) {
-      const size_t rows = std::min(kQRowBlock, end - block);
-      for (size_t i = 0; i < rows; ++i) {
-        sa[i] = QuantizeRowInt8(a.RowPtr(block + i), k, qa + i * k,
-                                &rowsum[i]);
-      }
-      size_t i = 0;
-#if defined(__AVX512VNNI__) && defined(__AVX512BW__) && defined(__AVX512F__)
-      for (; i < rows; ++i) {
-        double* out_row = out->RowPtr(block + i);
-        size_t j = 0;
-        for (; j + 4 <= m; j += 4) {
-          int32_t acc[4];
-          DotVnni1x4(qa + i * k, b.data.data() + j * k,
-                     b.data.data() + (j + 1) * k, b.data.data() + (j + 2) * k,
-                     b.data.data() + (j + 3) * k, k, acc);
-          for (size_t c = 0; c < 4; ++c) {
-            out_row[j + c] = dequant(i, j + c, acc[c]);
-          }
-        }
-        for (; j < m; ++j) {
-          out_row[j] =
-              dequant(i, j, DotU8S8(qa + i * k, b.data.data() + j * k, k));
-        }
-      }
-#elif defined(__AVX2__)
-      for (; i + 4 <= rows; i += 4) {
-        size_t j = 0;
-        for (; j + 2 <= m; j += 2) {
-          int32_t acc[8];
-          Dot4x2U8S8(qa + i * k, qa + (i + 1) * k, qa + (i + 2) * k,
-                     qa + (i + 3) * k, b.data.data() + j * k,
-                     b.data.data() + (j + 1) * k, k, acc);
-          for (size_t r = 0; r < 4; ++r) {
-            double* out_row = out->RowPtr(block + i + r);
-            out_row[j] = dequant(i + r, j, acc[r * 2]);
-            out_row[j + 1] = dequant(i + r, j + 1, acc[r * 2 + 1]);
-          }
-        }
-        for (; j < m; ++j) {
-          const int8_t* col = b.data.data() + j * k;
-          for (size_t r = 0; r < 4; ++r) {
-            out->RowPtr(block + i + r)[j] =
-                dequant(i + r, j, DotU8S8(qa + (i + r) * k, col, k));
-          }
-        }
-      }
-#endif
-      for (; i < rows; ++i) {
-        double* out_row = out->RowPtr(block + i);
-        for (size_t j = 0; j < m; ++j) {
-          out_row[j] =
-              dequant(i, j, DotU8S8(qa + i * k, b.data.data() + j * k, k));
-        }
-      }
-    }
-  });
 }
 
 }  // namespace internal

@@ -4,7 +4,6 @@
 #include "common/parallel.h"
 #include "la/matrix.h"
 
-#include <cstdint>
 #include <vector>
 
 namespace newsdiff::la {
@@ -31,27 +30,6 @@ struct PackedB {
 /// Packs all (jc, pc) panels of `b` for the block sizes in `cfg` (after the
 /// same micro-kernel rounding BlockedMatMul applies).
 PackedB PackMatrixB(const Matrix& b, const KernelConfig& cfg);
-
-/// B quantized with a per-column linear quantizer (pisa linear_quantizer
-/// idiom): column j maps [min_j, max_j] onto the 256 int8 codes, so
-/// b[p][j] ~= scale[j] * q[p][j] + offset[j]. Codes are stored
-/// column-major (column j is `k` contiguous bytes) so the int8 micro-dot
-/// streams linearly. ~8x smaller than the f32 panels.
-struct QuantizedB {
-  size_t k = 0;  ///< Rows of the original B.
-  size_t m = 0;  ///< Columns of the original B.
-  std::vector<int8_t> data;    ///< Column-major codes, data[j * k + p].
-  std::vector<double> scale;   ///< Per-column dequantization scale.
-  std::vector<double> offset;  ///< Per-column dequantization offset.
-  /// Per-column sum of codes. The kernel quantizes A rows into unsigned
-  /// bytes biased by +128 (so one staging feeds the u8 x s8 VNNI
-  /// instruction, the AVX2 vpmaddwd path, and the scalar fallback alike)
-  /// and removes the bias exactly: dot_biased - 128 * colsum[j].
-  std::vector<int32_t> colsum;
-};
-
-/// Quantizes `b` column-by-column into int8 codes.
-QuantizedB QuantizeMatrixB(const Matrix& b);
 
 namespace internal {
 
@@ -95,17 +73,6 @@ void BlockedMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
 /// row i of a batch-of-N product equals the corresponding batch-of-1.
 void BlockedMatMulPrepacked(const Matrix& a, const PackedB& b, Matrix* out,
                             const Parallelism& par);
-
-/// out = a * b over int8 codes: each row of `a` is quantized on the fly
-/// with a symmetric per-row scale (maxabs/127), the k-length integer dot
-/// runs in int32, and the result is dequantized as
-///   out[i][j] = scale[j] * sa[i] * idot + offset[j] * rowsum(a[i]).
-/// Integer arithmetic is exact and every row is processed independently,
-/// so the output is bitwise invariant to threads, shards, AND batch
-/// composition — but it approximates the f32 result (accuracy delta gated
-/// by bench/kernels_bench). Parallelism splits the rows of `a`.
-void Int8MatMulPrepacked(const Matrix& a, const QuantizedB& b, Matrix* out,
-                         const Parallelism& par);
 
 }  // namespace internal
 }  // namespace newsdiff::la

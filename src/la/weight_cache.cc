@@ -24,42 +24,15 @@ std::shared_ptr<const PackedB> PackedWeightCache::GetPacked(
   Entry& entry = entries_[key];
   ++stats_.misses;
   if (entry.version != version) {
-    // Generation change: the quantized variant (if any) belongs to the old
-    // weights, so the whole entry swaps. In-flight batches that already
-    // pinned the old shared_ptr keep it until they finish.
-    if (entry.packed != nullptr || entry.quantized != nullptr) ++stats_.swaps;
-    entry = Entry{};
+    // Generation change. In-flight calls that already pinned the old
+    // shared_ptr keep it until they finish.
+    if (entry.packed != nullptr) ++stats_.swaps;
     entry.version = version;
   }
   entry.kc = packed->kc;
   entry.nc = packed->nc;
   entry.packed = packed;
   return packed;
-}
-
-std::shared_ptr<const QuantizedB> PackedWeightCache::GetQuantized(
-    uint64_t key, uint64_t version, const Matrix& weights) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.version == version &&
-        it->second.quantized != nullptr) {
-      ++stats_.hits;
-      return it->second.quantized;
-    }
-  }
-  auto quantized =
-      std::make_shared<const QuantizedB>(QuantizeMatrixB(weights));
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[key];
-  ++stats_.misses;
-  if (entry.version != version) {
-    if (entry.packed != nullptr || entry.quantized != nullptr) ++stats_.swaps;
-    entry = Entry{};
-    entry.version = version;
-  }
-  entry.quantized = quantized;
-  return quantized;
 }
 
 WeightCacheStats PackedWeightCache::stats() const {

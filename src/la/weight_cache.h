@@ -15,12 +15,12 @@ namespace newsdiff::la {
 /// they are internally consistent.
 struct WeightCacheStats {
   uint64_t hits = 0;    ///< Lookups served from an existing entry.
-  uint64_t misses = 0;  ///< Lookups that packed/quantized fresh data.
+  uint64_t misses = 0;  ///< Lookups that packed fresh panels.
   uint64_t swaps = 0;   ///< Misses that replaced an older generation.
 };
 
-/// Cross-call cache of packed (and optionally quantized) right-hand GEMM
-/// operands, keyed by (weights identity, version, kernel config).
+/// Cross-call cache of packed right-hand GEMM operands, keyed by (weights
+/// identity, version, kernel config).
 ///
 /// PR 8 deduplicated B packing *within* one GEMM; this removes it *across*
 /// calls: inference weights are immutable between model reloads, so each
@@ -32,8 +32,7 @@ struct WeightCacheStats {
 ///
 /// Determinism: PackMatrixB produces exactly the panels BlockedMatMul
 /// would pack internally, so routing a GEMM through the cache never
-/// changes its bits. The quantized entries feed Int8MatMulPrepacked, which
-/// is deterministic but approximate (opt-in, see KernelConfig).
+/// changes its bits.
 class PackedWeightCache {
  public:
   PackedWeightCache() = default;
@@ -48,12 +47,6 @@ class PackedWeightCache {
                                            const Matrix& weights,
                                            const KernelConfig& cfg);
 
-  /// Returns the int8 quantization of `weights` at `version`, quantizing
-  /// on a miss. Shares the entry (and the generation swap) with GetPacked.
-  std::shared_ptr<const QuantizedB> GetQuantized(uint64_t key,
-                                                 uint64_t version,
-                                                 const Matrix& weights);
-
   WeightCacheStats stats() const;
 
   /// Drops every entry (test hook; in-flight holders keep their pointers).
@@ -62,11 +55,10 @@ class PackedWeightCache {
  private:
   struct Entry {
     uint64_t version = 0;
-    /// kc/nc the f32 panels were packed under; a config change repacks.
+    /// kc/nc the panels were packed under; a config change repacks.
     size_t kc = 0;
     size_t nc = 0;
     std::shared_ptr<const PackedB> packed;
-    std::shared_ptr<const QuantizedB> quantized;
   };
 
   mutable std::mutex mu_;

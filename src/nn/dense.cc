@@ -28,17 +28,11 @@ la::Matrix Dense::Forward(const la::Matrix& input, bool training) {
   if (!training && cache_.cache != nullptr &&
       par_.kernels.kind == KernelKind::kBlocked) {
     // Inference with a bound cache: the weights were packed once for this
-    // model generation. The f32 prepacked product is bitwise identical to
-    // the per-call blocked GEMM; the int8 route is the opt-in approximate
-    // mode (KernelConfig::int8_inference).
-    if (cache_.int8) {
-      auto qb = cache_.cache->GetQuantized(cache_.key, cache_.version, w_);
-      la::internal::Int8MatMulPrepacked(input, *qb, &out, par_);
-    } else {
-      auto pb =
-          cache_.cache->GetPacked(cache_.key, cache_.version, w_, par_.kernels);
-      la::internal::BlockedMatMulPrepacked(input, *pb, &out, par_);
-    }
+    // model generation. The prepacked product is bitwise identical to the
+    // per-call blocked GEMM.
+    auto pb =
+        cache_.cache->GetPacked(cache_.key, cache_.version, w_, par_.kernels);
+    la::internal::BlockedMatMulPrepacked(input, *pb, &out, par_);
   } else {
     out = la::MatMul(input, w_, par_);
   }

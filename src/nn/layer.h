@@ -17,13 +17,11 @@ namespace newsdiff::nn {
 /// Binds a layer's immutable inference-time weights to a shared cross-call
 /// packed-weight cache (la/weight_cache.h). `key` identifies the weights
 /// (layer index within the model), `version` is the model generation —
-/// bumped on every reload so stale packs swap out RCU-style. `int8` routes
-/// the layer's inference GEMM through the quantized path.
+/// bumped on every reload so stale packs swap out RCU-style.
 struct InferenceCacheBinding {
   la::PackedWeightCache* cache = nullptr;
   uint64_t key = 0;
   uint64_t version = 0;
-  bool int8 = false;
 };
 
 /// A trainable parameter: value and the gradient from the last backward

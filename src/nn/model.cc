@@ -25,11 +25,10 @@ void Model::SetParallelism(const Parallelism& par) {
   for (auto& layer : layers_) layer->set_parallelism(par);
 }
 
-void Model::BindInferenceCache(la::PackedWeightCache* cache, uint64_t version,
-                               bool int8) {
+void Model::BindInferenceCache(la::PackedWeightCache* cache,
+                               uint64_t version) {
   for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->BindInferenceCache(InferenceCacheBinding{cache, i, version,
-                                                         int8});
+    layers_[i]->BindInferenceCache(InferenceCacheBinding{cache, i, version});
   }
 }
 

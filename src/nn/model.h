@@ -156,10 +156,8 @@ class Model {
   /// Binds every layer's inference-time GEMM weights to a shared
   /// cross-call packed cache (la/weight_cache.h); each layer's key is its
   /// index. `version` is the model generation — the serving layer bumps it
-  /// per reload so stale packs swap out. `int8` opts the cache-aware
-  /// layers into the quantized inference path. Training is unaffected.
-  void BindInferenceCache(la::PackedWeightCache* cache, uint64_t version,
-                          bool int8 = false);
+  /// per reload so stale packs swap out. Training is unaffected.
+  void BindInferenceCache(la::PackedWeightCache* cache, uint64_t version);
 
   /// Pushes an execution parallelism to every layer. Fit does this from
   /// FitOptions at the top of training; the serving layer calls it once

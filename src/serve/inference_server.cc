@@ -1,29 +1,20 @@
 #include "serve/inference_server.h"
 
-#include <chrono>
 #include <utility>
 
 namespace newsdiff::serve {
 
-InferenceServer::InferenceServer(const InferenceServerOptions& options)
-    : options_(options),
-      clock_(options.clock != nullptr ? options.clock : &system_clock_) {
-  if (options_.max_batch_rows == 0) options_.max_batch_rows = 1;
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-InferenceServer::~InferenceServer() { Stop(); }
+InferenceServer::InferenceServer(const Parallelism& parallelism)
+    : parallelism_(parallelism) {}
 
 void InferenceServer::LoadModel(nn::Model model, uint64_t version) {
-  model.SetParallelism(options_.parallelism);
-  model.BindInferenceCache(&cache_, version,
-                           options_.parallelism.kernels.int8_inference);
+  model.SetParallelism(parallelism_);
+  model.BindInferenceCache(&cache_, version);
   auto entry = std::make_shared<ModelEntry>(std::move(model), version);
   {
     // Warm the packed-weight cache before publishing: one throwaway
-    // forward packs (and, in int8 mode, quantizes) every dense layer's
-    // weights for this generation, so no serving request pays it.
+    // forward packs every dense layer's weights for this generation, so
+    // no serving request pays it.
     std::lock_guard<std::mutex> lock(entry->mu);
     la::Matrix warm(1, entry->model.input_size());
     entry->model.PredictProba(warm);
@@ -32,8 +23,7 @@ void InferenceServer::LoadModel(nn::Model model, uint64_t version) {
     std::lock_guard<std::mutex> lock(model_mu_);
     model_ = std::move(entry);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.model_swaps;
+  model_swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool InferenceServer::has_model() const { return ModelSnapshot() != nullptr; }
@@ -49,44 +39,8 @@ std::shared_ptr<InferenceServer::ModelEntry> InferenceServer::ModelSnapshot()
   return model_;
 }
 
-StatusOr<std::future<InferenceServer::Result>> InferenceServer::Submit(
-    la::Matrix features) {
-  auto entry = ModelSnapshot();
-  if (entry == nullptr) {
-    return Status::FailedPrecondition("inference server has no model");
-  }
-  if (features.cols() != entry->model.input_size()) {
-    return Status::InvalidArgument("feature width does not match the model");
-  }
-  Request req;
-  req.features = std::move(features);
-  req.enqueue_ms = clock_->NowMillis();
-  std::future<Result> fut = req.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return Status::Unavailable("inference server stopped");
-    const size_t rows = req.features.rows();
-    if (queued_rows_ + rows > options_.queue_capacity) {
-      ++stats_.queue_full_rejections;
-      return Status::ResourceExhausted("inference queue full");
-    }
-    queued_rows_ += rows;
-    ++stats_.requests;
-    stats_.rows += rows;
-    queue_.push_back(std::move(req));
-  }
-  cv_.notify_all();
-  return fut;
-}
-
-InferenceServer::Result InferenceServer::Predict(const la::Matrix& features) {
-  auto fut = Submit(features);
-  if (!fut.ok()) return fut.status();
-  return fut.value().get();
-}
-
-InferenceServer::Result InferenceServer::PredictDirect(
-    const la::Matrix& features) {
+InferenceServer::Result InferenceServer::Predict(const la::Matrix& features,
+                                                 uint64_t* version) {
   auto entry = ModelSnapshot();
   if (entry == nullptr) {
     return Status::FailedPrecondition("inference server has no model");
@@ -99,146 +53,18 @@ InferenceServer::Result InferenceServer::PredictDirect(
     std::lock_guard<std::mutex> lock(entry->mu);
     probs = entry->model.PredictProba(features);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.requests;
-  ++stats_.direct_calls;
-  stats_.rows += features.rows();
+  forward_passes_.fetch_add(1, std::memory_order_relaxed);
+  rows_.fetch_add(features.rows(), std::memory_order_relaxed);
+  if (version != nullptr) *version = entry->version;
   return probs;
 }
 
 InferenceServerStats InferenceServer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void InferenceServer::Stop() {
-  std::deque<Request> drained;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-    drained.swap(queue_);
-    queued_rows_ = 0;
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-  for (Request& req : drained) {
-    req.promise.set_value(Status::Unavailable("inference server stopped"));
-  }
-}
-
-std::vector<InferenceServer::Request> InferenceServer::TakeBatch() {
-  std::vector<Request> batch;
-  size_t rows = 0;
-  while (!queue_.empty()) {
-    const size_t next = queue_.front().features.rows();
-    // Always take at least one request; beyond that, stop at the batch cap
-    // so one oversized submission cannot starve its neighbours.
-    if (!batch.empty() && rows + next > options_.max_batch_rows) break;
-    rows += next;
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-    if (rows >= options_.max_batch_rows) break;
-  }
-  queued_rows_ -= rows;
-  return batch;
-}
-
-void InferenceServer::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    if (stopped_) break;
-    if (queue_.empty()) {
-      cv_.wait(lock, [this] { return stopped_ || !queue_.empty(); });
-      continue;
-    }
-    const bool full = queued_rows_ >= options_.max_batch_rows;
-    bool due = options_.batch_deadline_ms <= 0 || full;
-    if (!due) {
-      // The deadline runs on the injectable clock, which a test may
-      // advance without any notification; poll with a short real wait so
-      // manual advances are observed promptly.
-      due = clock_->NowMillis() - queue_.front().enqueue_ms >=
-            options_.batch_deadline_ms;
-      if (!due) {
-        cv_.wait_for(lock, std::chrono::milliseconds(1));
-        continue;
-      }
-    }
-    std::vector<Request> batch = TakeBatch();
-    lock.unlock();
-    ExecuteBatch(std::move(batch));
-    lock.lock();
-  }
-}
-
-void InferenceServer::ExecuteBatch(std::vector<Request> batch) {
-  if (batch.empty()) return;
-  auto entry = ModelSnapshot();
-  size_t total_rows = 0;
-  for (const Request& req : batch) total_rows += req.features.rows();
-  const size_t cols = entry == nullptr ? 0 : entry->model.input_size();
-
-  bool shape_ok = entry != nullptr;
-  for (const Request& req : batch) {
-    if (req.features.cols() != cols) shape_ok = false;
-  }
-  if (!shape_ok) {
-    // A reload changed the input width between submit and execution (or
-    // the model vanished, which cannot happen today). Fail the batch
-    // rather than feed the wrong GEMM.
-    for (Request& req : batch) {
-      req.promise.set_value(
-          Status::FailedPrecondition("model changed shape mid-flight"));
-    }
-    return;
-  }
-
-  // Count the batch BEFORE fulfilling any promise: a caller that checks
-  // stats() the moment its future resolves must see this batch included.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batches;
-    stats_.batched_rows += total_rows;
-  }
-
-  if (batch.size() == 1) {
-    // Single-request batch (one oversized submission, or a lone request
-    // at flush time): its feature matrix already IS the batch — skip the
-    // concatenate and split copies and hand the whole result back.
-    la::Matrix probs;
-    {
-      std::lock_guard<std::mutex> model_lock(entry->mu);
-      probs = entry->model.PredictProba(batch.front().features);
-    }
-    batch.front().promise.set_value(std::move(probs));
-  } else {
-    la::Matrix features(total_rows, cols);
-    size_t row = 0;
-    for (const Request& req : batch) {
-      for (size_t r = 0; r < req.features.rows(); ++r, ++row) {
-        const double* src = req.features.RowPtr(r);
-        double* dst = features.RowPtr(row);
-        for (size_t c = 0; c < cols; ++c) dst[c] = src[c];
-      }
-    }
-
-    la::Matrix probs;
-    {
-      std::lock_guard<std::mutex> model_lock(entry->mu);
-      probs = entry->model.PredictProba(features);
-    }
-
-    row = 0;
-    for (Request& req : batch) {
-      la::Matrix part(req.features.rows(), probs.cols());
-      for (size_t r = 0; r < part.rows(); ++r, ++row) {
-        const double* src = probs.RowPtr(row);
-        double* dst = part.RowPtr(r);
-        for (size_t c = 0; c < part.cols(); ++c) dst[c] = src[c];
-      }
-      req.promise.set_value(std::move(part));
-    }
-  }
+  InferenceServerStats s;
+  s.forward_passes = forward_passes_.load(std::memory_order_relaxed);
+  s.rows = rows_.load(std::memory_order_relaxed);
+  s.model_swaps = model_swaps_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace newsdiff::serve

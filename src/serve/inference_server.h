@@ -1,17 +1,12 @@
 #ifndef NEWSDIFF_SERVE_INFERENCE_SERVER_H_
 #define NEWSDIFF_SERVE_INFERENCE_SERVER_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 #include "common/parallel.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "la/matrix.h"
 #include "la/weight_cache.h"
@@ -20,97 +15,52 @@
 
 namespace newsdiff::serve {
 
-/// Coalescing knobs for the inference server.
-struct InferenceServerOptions {
-  /// Flush a batch once this many rows are queued. One request larger
-  /// than this still executes as a single batch.
-  size_t max_batch_rows = 256;
-  /// Bounded queue, in ROWS. Submissions that would exceed it are
-  /// rejected with kResourceExhausted (backpressure, never blocking).
-  size_t queue_capacity = 4096;
-  /// How long the worker may hold a sub-max batch waiting for more rows,
-  /// measured on `clock` from the oldest queued request. 0 = flush
-  /// whatever is queued immediately (natural batching: rows that arrive
-  /// while a batch executes coalesce into the next one).
-  int64_t batch_deadline_ms = 0;
-  /// Injectable time source for the deadline (nullptr = system clock).
-  /// The worker only ever reads NowMillis — it never sleeps on this
-  /// clock — so a ManualClock drives deadline tests deterministically.
-  Clock* clock = nullptr;
-  /// Execution config for batch GEMMs. kernels.int8_inference routes the
-  /// dense layers through the quantized path (opt-in, approximate);
-  /// the default f32 path is bitwise invariant to batch composition.
-  Parallelism parallelism;
-};
-
-/// Relaxed-consistency counters, snapshotted under the server mutex.
+/// Relaxed-consistency counters: each field is exact on its own, but a
+/// snapshot taken mid-call may pair a new `forward_passes` with old `rows`.
 struct InferenceServerStats {
-  uint64_t requests = 0;     ///< Accepted submissions (direct + queued).
-  uint64_t rows = 0;         ///< Feature rows across accepted submissions.
-  uint64_t batches = 0;      ///< Coalesced batches executed.
-  uint64_t batched_rows = 0; ///< Rows across those batches.
-  uint64_t direct_calls = 0; ///< PredictDirect executions (no coalescing).
-  uint64_t queue_full_rejections = 0;
-  uint64_t model_swaps = 0;  ///< LoadModel calls that replaced a model.
-
-  double MeanBatchFill() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(batched_rows) /
-                              static_cast<double>(batches);
-  }
+  uint64_t forward_passes = 0;  ///< Predict calls that ran the model.
+  uint64_t rows = 0;            ///< Feature rows across those calls.
+  uint64_t model_swaps = 0;     ///< LoadModel calls.
 };
 
-/// Long-lived batched inference server: a bounded MPSC queue feeds one
-/// worker thread that coalesces concurrent prediction requests into
-/// GEMM-friendly batches executed on the blocked kernel layer, with the
-/// model's dense weights served from a cross-call packed cache.
+/// Serves the interest model: Predict runs the forward pass on the calling
+/// thread, with the model's dense weights served from a cross-call packed
+/// cache. Callers batch explicitly (Engine::PredictInterestBatch scores
+/// every draft's candidates in one call); there is no queue, so a call
+/// never waits for, or is shaped by, another caller's rows.
 ///
 /// Model lifecycle mirrors Engine::IndexSnapshot(): LoadModel RCU-swaps a
-/// shared_ptr<ModelEntry>; in-flight batches keep the generation they
-/// pinned, and the packed-weight cache swaps per-layer entries keyed on
-/// the version. Determinism: the f32 path is bitwise invariant to batch
-/// composition (every output row's arithmetic reads only its own input
-/// row), so coalescing never changes results — Predict(batch-of-N) row i
-/// == PredictDirect(row i). The int8 path is deterministic too, but
-/// approximates f32 (gated in bench/kernels_bench).
+/// shared_ptr<ModelEntry>; a call pins the generation it started on, and
+/// the packed-weight cache swaps per-layer entries keyed on the version.
+/// Determinism: every output row's arithmetic reads only its own input
+/// row, so Predict(batch-of-N) row i is bitwise equal to Predict(row i).
 class InferenceServer {
  public:
   using Result = StatusOr<la::Matrix>;
 
-  explicit InferenceServer(const InferenceServerOptions& options);
-  ~InferenceServer();
+  /// `parallelism` is pushed into every loaded model's layers.
+  explicit InferenceServer(const Parallelism& parallelism);
 
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
   /// Installs `model` as generation `version` (RCU swap; never blocks
-  /// in-flight batches). Binds the model's dense weights to the packed
-  /// cache and pushes the server's parallelism into its layers.
+  /// in-flight calls). Binds the model's dense weights to the packed
+  /// cache and packs them before publishing, so no call pays the pack.
   void LoadModel(nn::Model model, uint64_t version);
 
   bool has_model() const;
   uint64_t model_version() const;
 
-  /// Enqueues `features` (n x input_size) and returns a future for the
-  /// n x num_classes row-wise class probabilities. Fails fast with
-  /// kFailedPrecondition (no model), kInvalidArgument (shape),
-  /// kResourceExhausted (queue full), or kUnavailable (stopped).
-  StatusOr<std::future<Result>> Submit(la::Matrix features);
-
-  /// Submit + wait: the coalesced serving path.
-  Result Predict(const la::Matrix& features);
-
-  /// Synchronous single-call fallback: bypasses the queue and runs the
-  /// forward pass on the calling thread (still through the packed-weight
-  /// cache). Bitwise identical to the coalesced f32 path.
-  Result PredictDirect(const la::Matrix& features);
+  /// Row-wise class probabilities (n x num_classes) for `features`
+  /// (n x input_size), scored by one model generation. When `version` is
+  /// non-null it receives that generation, so a caller can label the
+  /// answer even if a LoadModel lands mid-call. Fails with
+  /// kFailedPrecondition (no model) or kInvalidArgument (shape).
+  Result Predict(const la::Matrix& features, uint64_t* version = nullptr);
 
   InferenceServerStats stats() const;
   la::WeightCacheStats cache_stats() const { return cache_.stats(); }
-
-  /// Stops the worker and fails queued requests with kUnavailable.
-  /// Idempotent; the destructor calls it.
-  void Stop();
 
  private:
   /// A loaded model generation. `mu` serializes forward passes (layers
@@ -123,46 +73,23 @@ class InferenceServer {
         : model(std::move(m)), version(v) {}
   };
 
-  struct Request {
-    la::Matrix features;
-    std::promise<Result> promise;
-    int64_t enqueue_ms = 0;
-  };
-
   std::shared_ptr<ModelEntry> ModelSnapshot() const;
-  void WorkerLoop();
-  /// Pops up to max_batch_rows worth of requests; called with mu_ held.
-  std::vector<Request> TakeBatch();
-  void ExecuteBatch(std::vector<Request> batch);
 
-  InferenceServerOptions options_;
-  SystemClock system_clock_;
-  Clock* clock_;  // options_.clock or &system_clock_
-
+  Parallelism parallelism_;
   la::PackedWeightCache cache_;
 
   mutable std::mutex model_mu_;
   std::shared_ptr<ModelEntry> model_;  // null until first LoadModel
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Request> queue_;
-  size_t queued_rows_ = 0;
-  bool stopped_ = false;
-  InferenceServerStats stats_;
-
-  std::thread worker_;
+  std::atomic<uint64_t> forward_passes_{0};
+  std::atomic<uint64_t> rows_{0};
+  std::atomic<uint64_t> model_swaps_{0};
 };
 
-/// Engine-facing aggregate: turns the BM25 class vote into a model
-/// rerank. `enable_model` gates the whole subsystem (off reproduces the
-/// PR-8 vote path bit for bit); `coalesce` picks the queued batched path
-/// vs the per-call direct fallback for PredictInterest.
+/// Engine-facing serving configuration: the interest model each
+/// BuildIndex trains and installs in the InferenceServer.
 struct ServingOptions {
-  bool enable_model = true;
-  bool coalesce = true;
   InterestModelOptions model;
-  InferenceServerOptions server;
 };
 
 }  // namespace newsdiff::serve

@@ -1,5 +1,6 @@
 // Concurrency tests for the Engine serving path: multi-threaded
-// QueryTrending / PredictInterest racing BuildIndex generation swaps.
+// QueryTrending / PredictInterest racing BuildIndex generation swaps, and
+// concurrent model-scored predictions against single-threaded answers.
 // These are the suites the tsan CI job runs (regex `EngineConcurrency`) —
 // the snapshot-swap in core/engine.cc is exactly the code TSan must see
 // under real thread interleavings.
@@ -95,6 +96,58 @@ TEST_F(EngineConcurrencyFixture, QueriesRaceIndexSwapsWithoutFailures) {
   EXPECT_EQ(stats.serving_errors, 0u);
   EXPECT_EQ(stats.trending_queries + stats.interest_predictions,
             static_cast<uint64_t>(kReaders) * kOpsPerReader);
+}
+
+// With the model live, concurrent PredictInterest callers get exactly the
+// single-threaded answer, and every call is counted as a model prediction.
+TEST_F(EngineConcurrencyFixture, ConcurrentPredictionsMatchSingleThreaded) {
+  constexpr size_t kMaxDrafts = 8;
+  std::vector<std::string> drafts;
+  std::vector<InterestPrediction> want;
+  for (const datagen::PlantedEvent& e : world_.events) {
+    if (drafts.size() >= kMaxDrafts) break;
+    if (e.keywords.size() < 2) continue;
+    const std::string draft = e.keywords[0] + " " + e.keywords[1];
+    StatusOr<InterestPrediction> p = engine_->PredictInterest(draft, 10);
+    if (!p.ok()) continue;
+    ASSERT_TRUE(p->model_reranked);
+    drafts.push_back(draft);
+    want.push_back(std::move(*p));
+  }
+  ASSERT_FALSE(drafts.empty());
+
+  const EngineStatsSnapshot before = engine_->stats();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < drafts.size(); ++i) {
+          StatusOr<InterestPrediction> got =
+              engine_->PredictInterest(drafts[i], 10);
+          bool same = got.ok() && got->model_reranked &&
+                      got->class_weights == want[i].class_weights &&
+                      got->model_version == want[i].model_version &&
+                      got->neighbors.size() == want[i].neighbors.size();
+          for (size_t n = 0; same && n < want[i].neighbors.size(); ++n) {
+            same = got->neighbors[n].doc == want[i].neighbors[n].doc;
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  const EngineStatsSnapshot after = engine_->stats();
+  const uint64_t calls = static_cast<uint64_t>(kThreads) * kRounds *
+                         static_cast<uint64_t>(drafts.size());
+  EXPECT_EQ(after.interest_predictions - before.interest_predictions, calls);
+  EXPECT_EQ(after.model_predictions - before.model_predictions, calls);
+  EXPECT_EQ(after.inference_batches - before.inference_batches, calls);
+  EXPECT_EQ(after.serving_errors, before.serving_errors);
 }
 
 TEST_F(EngineConcurrencyFixture, SnapshotPinsItsGenerationAcrossSwaps) {

@@ -157,13 +157,15 @@ TEST_F(EngineFixture, QueryTrendingMatchesBruteForceRanking) {
   }
 }
 
-TEST_F(EngineFixture, PredictInterestVotesOverNeighbourClasses) {
+TEST_F(EngineFixture, PredictInterestIsModelRerankedAfterBuild) {
   Engine engine(EngineOptions{});
   ASSERT_TRUE(engine.BuildIndex(db_).ok());
   StatusOr<InterestPrediction> prediction =
       engine.PredictInterest(EventQuery(), 25);
   ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
   ASSERT_FALSE(prediction->neighbors.empty());
+  EXPECT_TRUE(prediction->model_reranked);
+  EXPECT_EQ(prediction->model_version, 1u);  // the build's one generation
   ASSERT_EQ(prediction->class_weights.size(), 3u);  // Table-2 classes
   double total = 0.0;
   for (double w : prediction->class_weights) {
@@ -178,11 +180,46 @@ TEST_F(EngineFixture, PredictInterestVotesOverNeighbourClasses) {
   for (double w : prediction->class_weights) {
     EXPECT_LE(w, prediction->confidence + 1e-12);
   }
-  // Neighbour labels are Table-2 classes.
-  for (const QueryHit& h : prediction->neighbors) {
-    EXPECT_GE(h.label, 0.0);
-    EXPECT_LE(h.label, 2.0);
+  // Neighbours come back ordered by model interest.
+  for (size_t i = 1; i < prediction->neighbors.size(); ++i) {
+    EXPECT_GE(prediction->neighbors[i - 1].model_score,
+              prediction->neighbors[i].model_score);
   }
+}
+
+// A loaded index carries no feature rows, so the answer is the BM25 vote:
+// each neighbour's Table-2 label class gets its retrieval score.
+TEST_F(EngineFixture, PredictInterestVotesOverNeighbourClasses) {
+  Engine writer(IndexedOptions());
+  ASSERT_TRUE(writer.BuildIndex(db_).ok());
+  Engine reader(IndexedOptions());
+  ASSERT_TRUE(reader.LoadIndex().ok());
+  StatusOr<InterestPrediction> prediction =
+      reader.PredictInterest(EventQuery(), 25);
+  ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
+  ASSERT_FALSE(prediction->neighbors.empty());
+  EXPECT_FALSE(prediction->model_reranked);
+  EXPECT_EQ(prediction->model_version, 0u);
+
+  std::vector<double> want(3, 0.0);
+  double total = 0.0;
+  for (const QueryHit& h : prediction->neighbors) {
+    ASSERT_GE(h.label, 0.0);  // neighbour labels are Table-2 classes
+    ASSERT_LE(h.label, 2.0);
+    EXPECT_EQ(h.model_score, 0.0);
+    want[static_cast<size_t>(h.label)] += h.score;
+    total += h.score;
+  }
+  ASSERT_GT(total, 0.0);
+  ASSERT_EQ(prediction->class_weights.size(), want.size());
+  for (size_t c = 0; c < want.size(); ++c) {
+    EXPECT_DOUBLE_EQ(prediction->class_weights[c], want[c] / total)
+        << "class " << c;
+  }
+  EXPECT_DOUBLE_EQ(
+      prediction->confidence,
+      prediction->class_weights[static_cast<size_t>(
+          prediction->predicted_class)]);
 }
 
 TEST_F(EngineFixture, PredictInterestWithNoMatchesIsNotFound) {

@@ -1,19 +1,19 @@
-// Tests for the batched inference server (serve/inference_server.*) and
-// the cross-call packed-weight cache it serves from: bitwise batch
-// invariance on the f32 path, deadline-driven flushes on a ManualClock,
-// queue-full backpressure, and model hot-swap racing in-flight batches.
-// The Inference*/InferenceConcurrency* suites run under the sanitizer CI
-// jobs (selected by the `Inference` test-name regex).
+// Tests for the inference server (serve/inference_server.*) and the
+// cross-call packed-weight cache it serves from: input rejections, bitwise
+// agreement with the model's own forward pass, batch invariance, cache
+// reuse, and model hot-swaps racing callers. The
+// Inference*/InferenceConcurrency* suites run under the sanitizer CI jobs
+// (selected by the `Inference` test-name regex).
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <future>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
-#include "common/retry.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "la/matrix.h"
@@ -42,12 +42,6 @@ la::Matrix RandomFeatures(size_t rows, uint64_t seed) {
   return m;
 }
 
-InferenceServerOptions Options() {
-  InferenceServerOptions options;
-  options.parallelism.kernels.kind = KernelKind::kBlocked;
-  return options;
-}
-
 void ExpectRowBitwise(const la::Matrix& got, size_t got_row,
                       const la::Matrix& want, size_t want_row) {
   ASSERT_EQ(got.cols(), want.cols());
@@ -58,8 +52,12 @@ void ExpectRowBitwise(const la::Matrix& got, size_t got_row,
   }
 }
 
+bool Bitwise(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() && a.data() == b.data();
+}
+
 TEST(InferenceServerTest, RejectsBeforeModelLoaded) {
-  InferenceServer server(Options());
+  InferenceServer server{Parallelism{}};
   EXPECT_FALSE(server.has_model());
   EXPECT_EQ(server.model_version(), 0u);
   auto result = server.Predict(RandomFeatures(1, 1));
@@ -67,31 +65,38 @@ TEST(InferenceServerTest, RejectsBeforeModelLoaded) {
 }
 
 TEST(InferenceServerTest, RejectsMismatchedFeatureWidth) {
-  InferenceServer server(Options());
+  InferenceServer server{Parallelism{}};
   server.LoadModel(TestModel(), 1);
   la::Matrix narrow(1, kDim - 1);
   EXPECT_EQ(server.Predict(narrow).status().code(),
             StatusCode::kInvalidArgument);
 }
 
+// The served answer is the model's own forward pass: routing the dense
+// layers through the packed-weight cache never changes a bit.
 TEST(InferenceServerTest, PredictMatchesDirectBitwise) {
-  InferenceServer server(Options());
+  InferenceServer server{Parallelism{}};
   server.LoadModel(TestModel(), 1);
+  nn::Model reference = TestModel();
   la::Matrix features = RandomFeatures(7, 2);
-  auto queued = server.Predict(features);
-  auto direct = server.PredictDirect(features);
-  ASSERT_TRUE(queued.ok()) << queued.status().message();
-  ASSERT_TRUE(direct.ok()) << direct.status().message();
-  ASSERT_EQ(queued->rows(), 7u);
-  ASSERT_EQ(queued->cols(), kClasses);
-  for (size_t r = 0; r < 7; ++r) ExpectRowBitwise(*queued, r, *direct, r);
+  uint64_t version = 0;
+  auto served = server.Predict(features, &version);
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  EXPECT_EQ(version, 1u);
+  const la::Matrix direct = reference.PredictProba(features);
+  ASSERT_EQ(served->rows(), 7u);
+  ASSERT_EQ(served->cols(), kClasses);
+  for (size_t r = 0; r < 7; ++r) ExpectRowBitwise(*served, r, direct, r);
+  const InferenceServerStats stats = server.stats();
+  EXPECT_EQ(stats.forward_passes, 1u);
+  EXPECT_EQ(stats.rows, 7u);
 }
 
-// The f32 contract the coalescer depends on: batch-of-N row i is bitwise
-// equal to the same row predicted alone, so WHAT a request is batched
-// with never changes its answer.
+// The contract explicit batching depends on: batch-of-N row i is bitwise
+// equal to the same row predicted alone, so WHAT a row is batched with
+// never changes its answer.
 TEST(InferenceServerTest, BatchCompositionIsBitwiseInvariant) {
-  InferenceServer server(Options());
+  InferenceServer server{Parallelism{}};
   server.LoadModel(TestModel(), 1);
   la::Matrix batch = RandomFeatures(9, 3);
   auto all = server.Predict(batch);
@@ -105,71 +110,8 @@ TEST(InferenceServerTest, BatchCompositionIsBitwiseInvariant) {
   }
 }
 
-TEST(InferenceServerTest, DeadlineFlushDrivenByManualClock) {
-  ManualClock clock;
-  InferenceServerOptions options = Options();
-  options.batch_deadline_ms = 50;
-  options.max_batch_rows = 64;  // far above what we queue: only the
-                                // deadline can flush
-  options.clock = &clock;
-  InferenceServer server(options);
-  server.LoadModel(TestModel(), 1);
-
-  auto fut = server.Submit(RandomFeatures(2, 4));
-  ASSERT_TRUE(fut.ok());
-  // Below the deadline the worker must hold the batch.
-  clock.Advance(49);
-  EXPECT_EQ(fut->wait_for(std::chrono::milliseconds(30)),
-            std::future_status::timeout);
-  // Crossing it must flush promptly (the worker polls real time at ~1ms).
-  clock.Advance(1);
-  auto result = fut->get();
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ(result->rows(), 2u);
-  EXPECT_GE(server.stats().batches, 1u);
-}
-
-TEST(InferenceServerTest, FullQueueRejectsWithResourceExhausted) {
-  ManualClock clock;
-  InferenceServerOptions options = Options();
-  options.batch_deadline_ms = 1'000'000;  // park the worker: nothing flushes
-  options.max_batch_rows = 1024;
-  options.queue_capacity = 4;
-  options.clock = &clock;
-  InferenceServer server(options);
-  server.LoadModel(TestModel(), 1);
-
-  auto a = server.Submit(RandomFeatures(3, 5));
-  ASSERT_TRUE(a.ok());
-  auto b = server.Submit(RandomFeatures(2, 6));  // 3 + 2 > 4: rejected
-  EXPECT_EQ(b.status().code(), StatusCode::kResourceExhausted);
-  auto c = server.Submit(RandomFeatures(1, 7));  // 3 + 1 == 4: fits
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(server.stats().queue_full_rejections, 1u);
-
-  // Release the parked batch so Stop() does not fail the futures.
-  clock.Advance(1'000'000);
-  EXPECT_TRUE(a->get().ok());
-  EXPECT_TRUE(c->get().ok());
-}
-
-TEST(InferenceServerTest, StopFailsQueuedRequestsWithUnavailable) {
-  ManualClock clock;
-  InferenceServerOptions options = Options();
-  options.batch_deadline_ms = 1'000'000;
-  options.clock = &clock;
-  InferenceServer server(options);
-  server.LoadModel(TestModel(), 1);
-  auto fut = server.Submit(RandomFeatures(1, 8));
-  ASSERT_TRUE(fut.ok());
-  server.Stop();
-  EXPECT_EQ(fut->get().status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(server.Predict(RandomFeatures(1, 9)).status().code(),
-            StatusCode::kUnavailable);
-}
-
 TEST(InferenceServerTest, PackedCacheHitsAfterWarmup) {
-  InferenceServer server(Options());
+  InferenceServer server{Parallelism{}};
   server.LoadModel(TestModel(), 1);  // warmup forward packs every layer
   const la::WeightCacheStats before = server.cache_stats();
   for (int i = 0; i < 5; ++i) {
@@ -182,7 +124,7 @@ TEST(InferenceServerTest, PackedCacheHitsAfterWarmup) {
 }
 
 TEST(InferenceServerTest, ReloadSwapsGenerationAndRepacks) {
-  InferenceServer server(Options());
+  InferenceServer server{Parallelism{}};
   server.LoadModel(TestModel(41), 1);
   la::Matrix features = RandomFeatures(3, 11);
   auto v1 = server.Predict(features);
@@ -199,72 +141,43 @@ TEST(InferenceServerTest, ReloadSwapsGenerationAndRepacks) {
     if (v1->data()[i] != v2->data()[i]) any_diff = true;
   }
   EXPECT_TRUE(any_diff) << "new generation must actually serve new weights";
-  EXPECT_GE(server.stats().model_swaps, 2u);
-}
-
-TEST(InferenceServerTest, Int8ModeServesApproximateProbabilities) {
-  InferenceServerOptions options = Options();
-  options.parallelism.kernels.int8_inference = true;
-  InferenceServer server(options);
-  server.LoadModel(TestModel(), 1);
-
-  InferenceServer reference(Options());
-  reference.LoadModel(TestModel(), 1);
-
-  la::Matrix features = RandomFeatures(6, 12);
-  auto q = server.Predict(features);
-  auto f = reference.Predict(features);
-  ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(f.ok());
-  for (size_t r = 0; r < q->rows(); ++r) {
-    double sum = 0.0;
-    for (size_t c = 0; c < q->cols(); ++c) {
-      sum += q->RowPtr(r)[c];
-      EXPECT_NEAR(q->RowPtr(r)[c], f->RowPtr(r)[c], 0.15)
-          << "int8 drifted far from f32 at row " << r << " col " << c;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-9);  // still a softmax distribution
-  }
+  EXPECT_EQ(server.stats().model_swaps, 2u);
 }
 
 // --- Concurrency: run under tsan via the Inference regex. ---
 
 TEST(InferenceConcurrencyTest, ConcurrentSubmittersGetConsistentAnswers) {
-  InferenceServerOptions options = Options();
-  options.max_batch_rows = 8;  // force multi-batch coalescing under load
-  InferenceServer server(options);
+  InferenceServer server{Parallelism{}};
   server.LoadModel(TestModel(), 1);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
+  nn::Model reference = TestModel();
+  std::vector<std::vector<la::Matrix>> inputs(kThreads), want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      inputs[t].push_back(RandomFeatures(1 + (i % 3), 100 + t * 1000 + i));
+      want[t].push_back(reference.PredictProba(inputs[t].back()));
+    }
+  }
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        la::Matrix features =
-            RandomFeatures(1 + (i % 3), 100 + t * 1000 + i);
-        auto batched = server.Predict(features);
-        auto direct = server.PredictDirect(features);
-        if (!batched.ok() || !direct.ok()) {
-          ++mismatches;
-          continue;
-        }
-        for (size_t j = 0; j < batched->size(); ++j) {
-          if (batched->data()[j] != direct->data()[j]) ++mismatches;
-        }
+        auto served = server.Predict(inputs[t][i]);
+        if (!served.ok() || !Bitwise(*served, want[t][i])) ++mismatches;
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const InferenceServerStats stats = server.stats();
-  EXPECT_GT(stats.batches, 0u);
-  EXPECT_EQ(stats.queue_full_rejections, 0u);
+  EXPECT_EQ(server.stats().forward_passes,
+            static_cast<uint64_t>(kThreads * kPerThread));
 }
 
 TEST(InferenceConcurrencyTest, HotSwapRacesInFlightBatches) {
-  InferenceServer server(Options());
+  InferenceServer server{Parallelism{}};
   server.LoadModel(TestModel(41), 1);
 
   std::atomic<bool> stop{false};
@@ -289,6 +202,59 @@ TEST(InferenceConcurrencyTest, HotSwapRacesInFlightBatches) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(server.model_version(), 12u);
   EXPECT_GE(server.cache_stats().swaps, 1u);
+}
+
+// The version Predict reports is the generation that produced the answer,
+// even while LoadModel swaps generations under the callers.
+TEST(InferenceConcurrencyTest, ReportedVersionNamesTheGenerationThatScored) {
+  constexpr uint64_t kGenerations = 12;
+  constexpr int kCallers = 3;
+  const la::Matrix features = RandomFeatures(4, 7);
+  std::map<uint64_t, la::Matrix> want;
+  for (uint64_t v = 1; v <= kGenerations; ++v) {
+    want[v] = TestModel(40 + v).PredictProba(features);
+  }
+
+  InferenceServer server{Parallelism{}};
+  server.LoadModel(TestModel(41), 1);
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> calls{0};
+  std::array<std::atomic<int>, kGenerations + 1> seen{};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        uint64_t version = 0;
+        auto served = server.Predict(features, &version);
+        auto expected = want.find(version);
+        if (!served.ok() || expected == want.end() ||
+            !Bitwise(*served, expected->second)) {
+          ++mismatches;
+        } else {
+          ++seen[version];
+        }
+        ++calls;
+      }
+    });
+  }
+  // Of the next n completions at most kCallers began before the wait, so
+  // n > kCallers guarantees a call that started on the newest generation.
+  const auto wait_for_calls = [&](int n) {
+    const int target = calls.load() + n;
+    while (calls.load() < target) std::this_thread::yield();
+  };
+  wait_for_calls(kCallers + 1);
+  for (uint64_t v = 2; v <= kGenerations; ++v) {
+    server.LoadModel(TestModel(40 + v), v);
+    wait_for_calls(kCallers + 1);
+  }
+  stop.store(true);
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (uint64_t v = 1; v <= kGenerations; ++v) {
+    EXPECT_GT(seen[v].load(), 0) << "no call scored on generation " << v;
+  }
 }
 
 }  // namespace

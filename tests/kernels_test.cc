@@ -277,7 +277,7 @@ TEST(ParallelKernelsTest, SharedBPanelExactAcrossConfigsWithManyPanels) {
   }
 }
 
-// --- Pre-packed and int8 inference paths (PR 10). ---
+// --- Pre-packed inference path. ---
 
 TEST(PrepackedKernels, BitwiseEqualToBlockedMatMulOnEdgeShapes) {
   for (const Shape& s : kShapes) {
@@ -313,8 +313,8 @@ TEST(PrepackedKernels, BitwiseEqualUnderTinyBlocksAndThreads) {
 }
 
 // Row i of a batched product must be bitwise equal to the same row run as
-// a batch of one: this is the contract that lets the inference server
-// coalesce requests without changing anyone's answer.
+// a batch of one: this is the contract that lets PredictInterestBatch
+// score many drafts in one GEMM without changing anyone's answer.
 TEST(PrepackedKernels, BatchOfNBitwiseEqualsNBatchesOfOne) {
   Matrix batch = RandomMatrix(17, 48, 45);
   Matrix b = RandomMatrix(48, 24, 46);
@@ -331,78 +331,6 @@ TEST(PrepackedKernels, BatchOfNBitwiseEqualsNBatchesOfOne) {
     internal::BlockedMatMulPrepacked(one, packed, &single, par);
     for (size_t c = 0; c < all.cols(); ++c) {
       EXPECT_EQ(all.RowPtr(r)[c], single.RowPtr(0)[c])
-          << "row " << r << " col " << c;
-    }
-  }
-}
-
-TEST(Int8Kernels, QuantizerRoundTripsWithinOneStep) {
-  Matrix b = RandomMatrix(33, 9, 47);
-  QuantizedB q = QuantizeMatrixB(b);
-  ASSERT_EQ(q.k, b.rows());
-  ASSERT_EQ(q.m, b.cols());
-  for (size_t j = 0; j < q.m; ++j) {
-    for (size_t p = 0; p < q.k; ++p) {
-      const double rebuilt =
-          q.scale[j] * static_cast<double>(q.data[j * q.k + p]) + q.offset[j];
-      EXPECT_NEAR(rebuilt, b.RowPtr(p)[j], q.scale[j] * 0.5 + 1e-12)
-          << "col " << j << " row " << p;
-    }
-  }
-}
-
-TEST(Int8Kernels, ExactlyRepresentableInputsProduceExactProducts) {
-  // Constant B columns (zero range: scale clamps to 1.0) round-trip
-  // exactly, and A entries in {-1, 0, 1} quantize exactly under the
-  // symmetric per-row scale — so the int8 product must agree with the
-  // f32 product to rounding error, not to quantization error.
-  Matrix b(5, 2);
-  for (size_t p = 0; p < 5; ++p) {
-    b.RowPtr(p)[0] = 3.25;
-    b.RowPtr(p)[1] = -0.75;
-  }
-  QuantizedB q = QuantizeMatrixB(b);
-  Matrix a(4, 5);
-  Rng rng(48);
-  for (double& v : a.data()) {
-    v = static_cast<double>(static_cast<int>(rng.NextBelow(3)) - 1);
-  }
-  Matrix out;
-  internal::Int8MatMulPrepacked(a, q, &out, Blocked());
-  Matrix exact;
-  MatMulInto(a, b, &exact, Naive());
-  ExpectNear(out, exact, 1e-9);
-}
-
-TEST(Int8Kernels, ApproximatesF32WithinQuantizationError) {
-  Matrix a = RandomMatrix(12, 64, 49);
-  Matrix b = RandomMatrix(64, 24, 50);
-  QuantizedB q = QuantizeMatrixB(b);
-  Matrix int8_out, f32_out;
-  internal::Int8MatMulPrepacked(a, q, &int8_out, Blocked());
-  MatMulInto(a, b, &f32_out, Blocked());
-  // Error budget: each of the k=64 terms contributes at most half an int8
-  // step from B (~2/255) times |a| <= 1, plus the per-row A step.
-  ExpectNear(int8_out, f32_out, 0.05);
-}
-
-TEST(Int8Kernels, DeterministicAndBatchInvariant) {
-  Matrix batch = RandomMatrix(11, 32, 51);
-  Matrix b = RandomMatrix(32, 8, 52);
-  QuantizedB q = QuantizeMatrixB(b);
-  Matrix first, second;
-  internal::Int8MatMulPrepacked(batch, q, &first, Blocked(4));
-  internal::Int8MatMulPrepacked(batch, q, &second, Blocked(1));
-  ExpectBitwise(second, first);
-  for (size_t r = 0; r < batch.rows(); ++r) {
-    Matrix one(1, batch.cols());
-    for (size_t c = 0; c < batch.cols(); ++c) {
-      one.RowPtr(0)[c] = batch.RowPtr(r)[c];
-    }
-    Matrix single;
-    internal::Int8MatMulPrepacked(one, q, &single, Blocked(2));
-    for (size_t c = 0; c < first.cols(); ++c) {
-      EXPECT_EQ(first.RowPtr(r)[c], single.RowPtr(0)[c])
           << "row " << r << " col " << c;
     }
   }

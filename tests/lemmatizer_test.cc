@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace newsdiff::text {
 namespace {
 
@@ -9,6 +11,13 @@ struct LemmaCase {
   const char* input;
   const char* expected;
 };
+
+// Without this gtest prints a case as the raw bytes of its two pointers,
+// and gtest_discover_tests puts that dump into the ctest name, so every
+// build (ASLR) registered these cases under different names.
+void PrintTo(const LemmaCase& c, std::ostream* os) {
+  *os << c.input << "->" << c.expected;
+}
 
 class LemmatizerSweep : public ::testing::TestWithParam<LemmaCase> {};
 

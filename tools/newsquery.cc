@@ -12,10 +12,11 @@
 //   newsquery predict <dir> <draft...> [--k N] [--batch <file>]
 //       Audience-interest estimate for a draft headline: the k most
 //       similar tweets are retrieved by BM25 and reranked through the
-//       trained MLP via the batched inference server (the model is
-//       trained as part of the in-memory index build, so this command
-//       needs the full store, not just <dir>/index). --batch scores one
-//       draft per line of <file> in a single coalesced call.
+//       trained MLP via the inference server (the model is trained as
+//       part of the in-memory index build, so this command needs the full
+//       store, not just <dir>/index). --batch scores one draft per line of
+//       <file> with PredictInterestBatch: one model forward pass over
+//       every draft's candidates.
 //
 // Exit status is 0 on success, 1 on any error (message on stderr).
 #include <cstdio>
@@ -227,12 +228,11 @@ int RunPredict(const std::string& dir, const Args& args) {
     }
     const newsdiff::EngineStatsSnapshot stats = engine.stats();
     std::printf(
-        "batch: %zu drafts, %zu failed  [batches=%llu mean_fill=%.1f "
-        "rejections=%llu model_version=%llu]\n",
+        "batch: %zu drafts, %zu failed  [forward_passes=%llu rows=%llu "
+        "model_version=%llu]\n",
         results.size(), failures,
         static_cast<unsigned long long>(stats.inference_batches),
-        stats.MeanBatchFill(),
-        static_cast<unsigned long long>(stats.inference_queue_rejections),
+        static_cast<unsigned long long>(stats.inference_batched_rows),
         static_cast<unsigned long long>(engine.model_version()));
     return failures == 0 ? 0 : 1;
   }
