@@ -100,12 +100,13 @@ struct InferenceSection {
   double model_batched_rows_per_s = 0.0;
   double model_speedup = 0.0;
   bool model_bitwise = false;  ///< Batched row i == per-call row i exactly.
-  uint64_t batches = 0;          ///< Forward passes this section ran.
+  uint64_t batches = 0;  ///< Engine forward passes (the isolated path's
+                         ///< InferenceServer calls are not counted).
   double mean_batch_fill = 0.0;  ///< Rows per forward pass.
   uint64_t serving_errors = 0;
   uint64_t model_predictions = 0;
   uint64_t index_swaps = 0;  ///< Rebuilds completed mid-batched-measurement.
-  uint64_t model_version = 0;
+  uint64_t model_version = 0;  ///< Serving generation at the end.
   bool ok = false;
 };
 
@@ -122,8 +123,7 @@ InferenceSection RunInferenceComparison(
 
   // Keep only drafts the current index can answer (synthetic ledes may
   // match no tweet -> NotFound, which is a miss, not an error). The filter
-  // pass doubles as warmup: it packs the weights into the cross-call
-  // cache and faults in the candidate features.
+  // pass doubles as warmup: it faults in the candidate features.
   std::vector<std::string> drafts;
   for (const std::string& d : candidates) {
     if (drafts.size() >= config.predict_drafts) break;
@@ -273,7 +273,7 @@ InferenceSection RunInferenceComparison(
   section.model_predictions =
       after.model_predictions - before.model_predictions;
   section.index_swaps = after.index_swaps - swaps_before;
-  section.model_version = engine.model_version();
+  section.model_version = engine.generation();
 
   // Equal error rate: both paths must answer every draft, and the swap
   // must complete without a serving error. The telemetry cross-check
@@ -577,7 +577,7 @@ int main(int argc, char** argv) {
       inference.model_bitwise ? "ok" : "FAIL");
   std::printf(
       "predict telemetry: forward_passes=%llu rows_per_pass=%.1f "
-      "errors=%llu swaps=%llu model_gen=%llu -> %s\n",
+      "errors=%llu swaps=%llu generation=%llu -> %s\n",
       static_cast<unsigned long long>(inference.batches),
       inference.mean_batch_fill,
       static_cast<unsigned long long>(inference.serving_errors),

@@ -38,8 +38,8 @@ core::SupervisorOptions EngineOptions::SupervisorView() const {
 serve::ServingOptions EngineOptions::ServingView() const {
   serve::ServingOptions view = serving;
   view.model.parallelism = parallelism;
-  // The serving model classifies into the predictor's class space so its
-  // output lines up with the Table-2 likes classes the vote path uses.
+  // The serving model classifies into the predictor's class space: the
+  // Table-2 likes classes the tweets index carries as labels.
   view.model.num_classes = std::max<size_t>(predictor.num_classes, 1);
   return view;
 }
@@ -57,8 +57,11 @@ Engine::Engine(EngineOptions options)
       supervisor_(core::Pipeline(options_.PipelineView()),
                   options_.SupervisorView()),
       serving_(std::make_shared<const ServingData>()),
-      inference_(std::make_unique<serve::InferenceServer>(
-          options_.parallelism)) {}
+      inference_(std::make_unique<serve::InferenceServer>([this] {
+        // Aliasing: the handle keeps the whole generation alive.
+        std::shared_ptr<const ServingData> data = ServingSnapshot();
+        return std::shared_ptr<serve::ServingModel>(data, data->model.get());
+      })) {}
 
 std::shared_ptr<const Engine::ServingData> Engine::ServingSnapshot() const {
   std::lock_guard<std::mutex> lock(index_mu_);
@@ -67,21 +70,42 @@ std::shared_ptr<const Engine::ServingData> Engine::ServingSnapshot() const {
 
 std::shared_ptr<const Engine::IndexMap> Engine::IndexSnapshot() const {
   // Aliasing constructor: the handle points at the index map but keeps the
-  // whole serving snapshot (indexes + features) alive, preserving the
-  // public pin-a-generation contract unchanged.
+  // whole serving generation (indexes, features, model) alive.
   std::shared_ptr<const ServingData> data = ServingSnapshot();
   return std::shared_ptr<const IndexMap>(data, &data->indexes);
 }
 
-void Engine::SwapServing(ServingData data, uint64_t generation) {
-  std::shared_ptr<const ServingData> next =
-      std::make_shared<const ServingData>(std::move(data));
+Status Engine::Publish(IndexMap indexes, uint64_t generation) {
+  auto next = std::make_shared<ServingData>();
+  auto tweets = indexes.find(kTweetsIndex);
+  if (tweets != indexes.end() && tweets->second.num_docs() > 0) {
+    // Row r matches the tweets index's dense doc id r. Features hash term
+    // strings and labels are the DocInfo's Table-2 likes class, so the
+    // indexes alone fix the training set: a loaded INDEX-<gen> retrains
+    // the writer's model bit for bit.
+    const index::InvertedIndex& ix = tweets->second;
+    const serve::ServingOptions serving = options_.ServingView();
+    next->tweet_features =
+        serve::HashedFeaturizer(serving.model.feature_dim).FeaturizeIndex(ix);
+    const int max_class = static_cast<int>(serving.model.num_classes) - 1;
+    std::vector<int> labels;
+    labels.reserve(ix.docs().size());
+    for (const index::DocInfo& doc : ix.docs()) {
+      labels.push_back(std::clamp(static_cast<int>(doc.label), 0, max_class));
+    }
+    StatusOr<nn::Model> model =
+        serve::TrainInterestModel(next->tweet_features, labels, serving.model);
+    if (!model.ok()) return model.status();
+    next->model = std::make_unique<serve::ServingModel>(std::move(*model));
+  }
+  next->indexes = std::move(indexes);
+  next->generation = generation;
   {
     std::lock_guard<std::mutex> lock(index_mu_);
     serving_ = std::move(next);
   }
-  index_generation_.store(generation, std::memory_order_relaxed);
   counters_.index_swaps.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 EngineStatsSnapshot Engine::stats() const {
@@ -97,10 +121,10 @@ EngineStatsSnapshot Engine::stats() const {
   s.blocks_decoded = counters_.blocks_decoded.load(std::memory_order_relaxed);
   s.model_predictions =
       counters_.model_predictions.load(std::memory_order_relaxed);
-  const serve::InferenceServerStats is = inference_->stats();
-  s.inference_batches = is.forward_passes;
-  s.inference_batched_rows = is.rows;
-  s.model_swaps = is.model_swaps;
+  s.inference_batches =
+      counters_.forward_passes.load(std::memory_order_relaxed);
+  s.inference_batched_rows =
+      counters_.rows_scored.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -156,39 +180,15 @@ StatusOr<BuildIndexReport> Engine::BuildIndex(store::Database& db) {
   report.news_terms = built[kNewsIndex].num_terms();
   report.tweet_terms = built[kTweetsIndex].num_terms();
 
-  // Serving model: hashed features for every candidate tweet (row r
-  // matches the tweets index's dense doc id r) and a fresh MLP generation
-  // for the inference server. Features hash term STRINGS, so the model
-  // keeps scoring across rebuilds even though vocabulary ids change.
-  la::Matrix tweet_features;
-  if (tweet_corpus.size() > 0) {
-    const serve::ServingOptions serving = options_.ServingView();
-    serve::HashedFeaturizer featurizer(serving.model.feature_dim);
-    tweet_features = featurizer.FeaturizeCorpus(tweet_corpus);
-    const int max_class = static_cast<int>(serving.model.num_classes) - 1;
-    std::vector<int> labels;
-    labels.reserve(tweet_labels.size());
-    for (double l : tweet_labels) {
-      labels.push_back(std::clamp(static_cast<int>(l), 0, max_class));
-    }
-    StatusOr<nn::Model> model =
-        serve::TrainInterestModel(tweet_features, labels, serving.model);
-    if (!model.ok()) return model.status();
-    const uint64_t version =
-        model_generation_.fetch_add(1, std::memory_order_relaxed) + 1;
-    inference_->LoadModel(std::move(*model), version);
-  }
-
+  // Commit first: a generation that did not reach disk is never served.
+  report.generation = generation() + 1;
   const std::string dir = options_.IndexDir();
   if (!dir.empty()) {
     index::IndexStore store(io(), dir, options_.index_retain);
     NEWSDIFF_RETURN_IF_ERROR(store.Save(built));
     report.generation = store.generation();
   }
-  ServingData data;
-  data.indexes = std::move(built);
-  data.tweet_features = std::move(tweet_features);
-  SwapServing(std::move(data), report.generation);
+  NEWSDIFF_RETURN_IF_ERROR(Publish(std::move(built), report.generation));
   return report;
 }
 
@@ -198,11 +198,10 @@ StatusOr<index::IndexLoadReport> Engine::LoadIndex() {
     return Status::FailedPrecondition("engine: no index directory configured");
   }
   index::IndexStore store(io(), dir, options_.index_retain);
-  // Indexes only: feature rows come from BuildIndex, so PredictInterest
-  // votes until the next build.
-  ServingData data;
-  StatusOr<index::IndexLoadReport> report = store.Load(&data.indexes);
-  if (report.ok()) SwapServing(std::move(data), report->generation);
+  IndexMap indexes;
+  StatusOr<index::IndexLoadReport> report = store.Load(&indexes);
+  if (!report.ok()) return report;
+  NEWSDIFF_RETURN_IF_ERROR(Publish(std::move(indexes), report->generation));
   return report;
 }
 
@@ -244,83 +243,56 @@ StatusOr<std::vector<QueryHit>> Engine::QueryOn(
   return hits;
 }
 
-StatusOr<std::vector<QueryHit>> Engine::Query(
-    const std::string& index_name, const std::vector<std::string>& terms,
-    size_t k, index::QueryStats* stats) const {
-  // Pin the current generation: a concurrent BuildIndex/LoadIndex swap
-  // retires the snapshot we are reading only after this handle releases it.
-  std::shared_ptr<const ServingData> snapshot = ServingSnapshot();
-  return QueryOn(*snapshot, index_name, terms, k, stats);
-}
-
 StatusOr<std::vector<QueryHit>> Engine::QueryTrending(
     const std::string& query, size_t k, index::QueryStats* stats) const {
   counters_.trending_queries.fetch_add(1, std::memory_order_relaxed);
-  return Query(kNewsIndex, text::PreprocessNewsED(query), k, stats);
+  // Pin the current generation: a concurrent BuildIndex/LoadIndex swap
+  // retires the snapshot we are reading only after this handle releases it.
+  std::shared_ptr<const ServingData> snapshot = ServingSnapshot();
+  return QueryOn(*snapshot, kNewsIndex, text::PreprocessNewsED(query), k,
+                 stats);
 }
 
 namespace {
 
-/// Copies the feature rows for `hits` (dense doc ids) out of the pinned
-/// generation's feature matrix. Returns false if any hit has no feature row
-/// (stale model against a feature-less snapshot) — callers then fall back
-/// to the vote.
-bool GatherCandidateFeatures(const la::Matrix& tweet_features,
+/// Copies the feature rows of `hits` (dense doc ids of the generation that
+/// owns `tweet_features`) into `out`, starting at `first_row`.
+void GatherCandidateFeatures(const la::Matrix& tweet_features,
                              const std::vector<QueryHit>& hits,
                              la::Matrix* out, size_t first_row) {
-  for (const QueryHit& h : hits) {
-    if (h.doc >= tweet_features.rows()) return false;
-  }
   size_t row = first_row;
   for (const QueryHit& h : hits) {
-    const double* src = tweet_features.RowPtr(h.doc);
-    double* dst = out->RowPtr(row++);
-    for (size_t c = 0; c < tweet_features.cols(); ++c) dst[c] = src[c];
+    std::copy_n(tweet_features.RowPtr(h.doc), tweet_features.cols(),
+                out->RowPtr(row++));
   }
-  return true;
 }
 
 }  // namespace
 
-InterestPrediction Engine::VotePrediction(std::vector<QueryHit> hits) const {
-  InterestPrediction prediction;
-  const size_t num_classes =
-      std::max<size_t>(options_.predictor.num_classes, 1);
-  prediction.class_weights.assign(num_classes, 0.0);
-  double total = 0.0;
-  for (const QueryHit& h : hits) {
-    size_t cls = h.label >= 0.0 ? static_cast<size_t>(h.label) : 0;
-    if (cls >= num_classes) cls = num_classes - 1;
-    prediction.class_weights[cls] += h.score;
-    total += h.score;
+StatusOr<la::Matrix> Engine::Score(const ServingData& data,
+                                   const la::Matrix& features) const {
+  // A hit exists only in a generation that holds tweets, and every such
+  // generation holds its model.
+  StatusOr<la::Matrix> probs = data.model->Predict(features);
+  if (probs.ok()) {
+    counters_.forward_passes.fetch_add(1, std::memory_order_relaxed);
+    counters_.rows_scored.fetch_add(features.rows(),
+                                    std::memory_order_relaxed);
   }
-  if (total > 0.0) {
-    for (double& w : prediction.class_weights) w /= total;
-  }
-  for (size_t c = 1; c < num_classes; ++c) {
-    if (prediction.class_weights[c] >
-        prediction
-            .class_weights[static_cast<size_t>(prediction.predicted_class)]) {
-      prediction.predicted_class = static_cast<int>(c);
-    }
-  }
-  prediction.confidence =
-      prediction.class_weights[static_cast<size_t>(prediction.predicted_class)];
-  prediction.neighbors = std::move(hits);
-  return prediction;
+  return probs;
 }
 
 InterestPrediction Engine::CombineModelPrediction(std::vector<QueryHit> hits,
                                                   const la::Matrix& probs,
-                                                  size_t first_row) const {
+                                                  size_t first_row,
+                                                  uint64_t generation) const {
   InterestPrediction prediction;
   const size_t num_classes = probs.cols();
   prediction.class_weights.assign(num_classes, 0.0);
 
   // Retrieval-score-weighted average of the per-candidate class
   // distributions. Each softmax row sums to ~1, so the averaged weights do
-  // too — preserving the "weights normalise to 1" contract of the vote
-  // path without an explicit renormalisation.
+  // too without an explicit renormalisation.
   double total = 0.0;
   for (const QueryHit& h : hits) total += h.score;
   size_t row = first_row;
@@ -350,6 +322,7 @@ InterestPrediction Engine::CombineModelPrediction(std::vector<QueryHit> hits,
                    });
   prediction.neighbors = std::move(hits);
   prediction.model_reranked = true;
+  prediction.generation = generation;
   return prediction;
 }
 
@@ -364,29 +337,16 @@ StatusOr<InterestPrediction> Engine::PredictInterest(
     counters_.not_found.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("engine: no tweets match the draft");
   }
-
-  // Model path only when this snapshot carries feature rows for every hit
-  // and a model generation is installed; anything else votes. Features and
-  // indexes were published by the same swap, so the rows line up by
-  // construction — the guard covers feature-less snapshots (LoadIndex).
-  if (inference_->has_model() && snapshot->tweet_features.rows() > 0) {
-    la::Matrix features(hits->size(), snapshot->tweet_features.cols());
-    if (GatherCandidateFeatures(snapshot->tweet_features, *hits, &features,
-                                0)) {
-      uint64_t version = 0;
-      StatusOr<la::Matrix> probs = inference_->Predict(features, &version);
-      if (!probs.ok()) {
-        counters_.serving_errors.fetch_add(1, std::memory_order_relaxed);
-        return probs.status();
-      }
-      counters_.model_predictions.fetch_add(1, std::memory_order_relaxed);
-      InterestPrediction prediction =
-          CombineModelPrediction(std::move(*hits), *probs, 0);
-      prediction.model_version = version;
-      return prediction;
-    }
+  la::Matrix features(hits->size(), snapshot->tweet_features.cols());
+  GatherCandidateFeatures(snapshot->tweet_features, *hits, &features, 0);
+  StatusOr<la::Matrix> probs = Score(*snapshot, features);
+  if (!probs.ok()) {
+    counters_.serving_errors.fetch_add(1, std::memory_order_relaxed);
+    return probs.status();
   }
-  return VotePrediction(std::move(*hits));
+  counters_.model_predictions.fetch_add(1, std::memory_order_relaxed);
+  return CombineModelPrediction(std::move(*hits), *probs, 0,
+                                snapshot->generation);
 }
 
 std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
@@ -395,9 +355,8 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
   results.reserve(drafts.size());
   std::shared_ptr<const ServingData> snapshot = ServingSnapshot();
 
-  // Retrieval pass: collect candidates per draft, record which drafts can
-  // take the model path, and count their total feature rows so all drafts
-  // share ONE inference call.
+  // Retrieval pass: collect candidates per draft and count their total
+  // feature rows so all drafts share ONE inference call.
   struct Pending {
     size_t result_index = 0;
     std::vector<QueryHit> hits;
@@ -405,8 +364,6 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
   };
   std::vector<Pending> pending;
   size_t total_rows = 0;
-  const bool model_live =
-      inference_->has_model() && snapshot->tweet_features.rows() > 0;
   for (const std::string& draft : drafts) {
     counters_.interest_predictions.fetch_add(1, std::memory_order_relaxed);
     StatusOr<std::vector<QueryHit>> hits = QueryOn(
@@ -418,16 +375,6 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
     if (hits->empty()) {
       counters_.not_found.fetch_add(1, std::memory_order_relaxed);
       results.push_back(Status::NotFound("engine: no tweets match the draft"));
-      continue;
-    }
-    bool rows_ok = model_live;
-    if (rows_ok) {
-      for (const QueryHit& h : *hits) {
-        if (h.doc >= snapshot->tweet_features.rows()) rows_ok = false;
-      }
-    }
-    if (!rows_ok) {
-      results.push_back(VotePrediction(std::move(*hits)));
       continue;
     }
     Pending p;
@@ -445,8 +392,7 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
     GatherCandidateFeatures(snapshot->tweet_features, p.hits, &features,
                             p.first_row);
   }
-  uint64_t version = 0;
-  StatusOr<la::Matrix> probs = inference_->Predict(features, &version);
+  StatusOr<la::Matrix> probs = Score(*snapshot, features);
   if (!probs.ok()) {
     for (Pending& p : pending) {
       counters_.serving_errors.fetch_add(1, std::memory_order_relaxed);
@@ -456,10 +402,8 @@ std::vector<StatusOr<InterestPrediction>> Engine::PredictInterestBatch(
   }
   for (Pending& p : pending) {
     counters_.model_predictions.fetch_add(1, std::memory_order_relaxed);
-    InterestPrediction prediction =
-        CombineModelPrediction(std::move(p.hits), *probs, p.first_row);
-    prediction.model_version = version;
-    results[p.result_index] = std::move(prediction);
+    results[p.result_index] = CombineModelPrediction(
+        std::move(p.hits), *probs, p.first_row, snapshot->generation);
   }
   return results;
 }

@@ -61,8 +61,8 @@ struct EngineOptions {
   FileIo* io = nullptr;
 
   /// Model serving: PredictInterest reranks retrieved candidates through
-  /// a small MLP (trained per BuildIndex over hashed features) served by
-  /// the InferenceServer on the caller's thread.
+  /// a small MLP, trained per serving generation over hashed features of
+  /// its tweets index and scored on the caller's thread.
   serve::ServingOptions serving;
 
   /// Per-module views: the aggregate copied down with the authoritative
@@ -82,24 +82,26 @@ struct QueryHit {
   int64_t timestamp = 0;     // published / created time
   double score = 0.0;        // BM25 score
   double label = 0.0;        // carried label (tweets: Table-2 likes class)
-  /// Model-predicted expected interest class (sum_c c * P(c)); 0 on the
-  /// BM25-vote fallback path.
+  /// Model-predicted expected interest class (sum_c c * P(c)); 0 for
+  /// QueryTrending hits.
   double model_score = 0.0;
 };
 
-/// PredictInterest outcome. With a model generation installed the
-/// retrieved candidates are scored by the trained MLP and the class weights
-/// are the retrieval-score-weighted average of the model's per-candidate
-/// class probabilities (neighbors come back reranked by model interest);
-/// without one (or without feature rows, e.g. after LoadIndex or Recover),
-/// the BM25 class vote.
+/// PredictInterest outcome: the retrieved candidates are scored by the
+/// serving generation's MLP, and the class weights are the
+/// retrieval-score-weighted average of the model's per-candidate class
+/// probabilities (neighbors come back reranked by model interest). Every
+/// generation that holds a tweet holds its model, so there is no other
+/// path.
 struct InterestPrediction {
   int predicted_class = 0;            // argmax of class_weights
   std::vector<double> class_weights;  // per-class mass, normalised to 1
   double confidence = 0.0;            // class_weights[predicted_class]
   std::vector<QueryHit> neighbors;    // the supporting tweets
-  bool model_reranked = false;        // true when the MLP scored the hits
-  uint64_t model_version = 0;         // generation that scored the hits
+  /// Always true: the MLP scored the hits. Kept for perfbench/serve_read.cc,
+  /// which checks it.
+  bool model_reranked = false;
+  uint64_t generation = 0;            // serving generation that answered
 };
 
 /// A point-in-time copy of the Engine's serving counters. The counters
@@ -111,17 +113,15 @@ struct EngineStatsSnapshot {
   uint64_t interest_predictions = 0; // PredictInterest calls
   uint64_t serving_errors = 0;       // non-OK, non-NotFound outcomes
   uint64_t not_found = 0;            // PredictInterest with no matching tweet
-  uint64_t index_swaps = 0;          // BuildIndex / LoadIndex generation swaps
+  uint64_t index_swaps = 0;          // serving generations published
   uint64_t docs_scored = 0;          // summed QueryStats::docs_scored
   uint64_t blocks_decoded = 0;       // summed QueryStats::blocks_decoded
-  // Inference telemetry, merged from InferenceServerStats.
-  uint64_t model_predictions = 0;    // PredictInterest answered by the MLP
+  uint64_t model_predictions = 0;    // PredictInterest answers (all scored)
   uint64_t inference_batches = 0;    // model forward passes
   uint64_t inference_batched_rows = 0;  // feature rows scored
   // Always 0: inference runs on the caller's thread, so nothing queues or
   // sheds. Kept for perfbench/serve_read.cc, which reports it.
   uint64_t inference_queue_rejections = 0;
-  uint64_t model_swaps = 0;          // serving-model generations installed
 };
 
 /// What Engine::BuildIndex produced.
@@ -130,7 +130,8 @@ struct BuildIndexReport {
   size_t tweet_docs = 0;
   size_t news_terms = 0;
   size_t tweet_terms = 0;
-  /// Generation committed to disk (0 when persistence is disabled).
+  /// Serving generation published: the INDEX-<gen> number committed to
+  /// disk, or the previous generation + 1 when persistence is disabled.
   uint64_t generation = 0;
 };
 
@@ -152,14 +153,22 @@ struct BuildIndexReport {
 /// byte-for-byte. Rankings are exactly the brute-force BM25 ranking — the
 /// index only changes the cost, never the answer (see index/index.h).
 ///
+/// Serving generations: BuildIndex (after its save commits) and LoadIndex
+/// publish through one function, which derives the tweet features and the
+/// interest model from the indexes alone. A generation is thus a pure
+/// function of INDEX-<gen> and EngineOptions, and a restart serves the
+/// writer's answers bit for bit with no model on disk. One number names
+/// it in BuildIndexReport, generation() and every InterestPrediction.
+///
 /// Concurrency: QueryTrending / PredictInterest are safe to call from any
-/// number of threads concurrently with BuildIndex / LoadIndex. The index
-/// map lives behind an immutable shared_ptr snapshot that a swap replaces
-/// atomically: in-flight queries keep the generation they started on alive
-/// until they finish, and never observe a half-built map. The offline
-/// entrypoints (Recover, RunPipeline, BuildIndex over a mutating Database)
-/// are NOT safe against concurrent writers of the same Database — the load
-/// driver serialises store writes behind its own mutex (loadgen/driver.h).
+/// number of threads concurrently with BuildIndex / LoadIndex. Indexes,
+/// features and model live behind one immutable shared_ptr snapshot that
+/// a swap replaces atomically: in-flight queries keep the generation they
+/// started on alive until they finish, and never observe a half-built or
+/// mixed one. The offline entrypoints (Recover, RunPipeline, BuildIndex
+/// over a mutating Database) are NOT safe against concurrent writers of
+/// the same Database — the load driver serialises store writes behind its
+/// own mutex (loadgen/driver.h).
 class Engine {
  public:
   using IndexMap = std::map<std::string, index::InvertedIndex>;
@@ -179,13 +188,14 @@ class Engine {
       store::Database& db, const embed::PretrainedStore& embeddings);
 
   /// Inverts the store's "news" and "tweets" collections into the two
-  /// query indexes and commits them as one new generation (when an index
-  /// directory is configured). Tweet DocInfo labels carry the Table-2
-  /// likes class, which PredictInterest votes over.
+  /// query indexes, commits them as INDEX-<gen> (when an index directory
+  /// is configured), and only then publishes them as the serving
+  /// generation. A failed save publishes nothing. Tweet DocInfo labels
+  /// carry the Table-2 likes class the model is trained on.
   StatusOr<BuildIndexReport> BuildIndex(store::Database& db);
 
-  /// Loads the newest intact index generation from disk, replacing the
-  /// in-memory indexes. No directory configured → kFailedPrecondition.
+  /// Loads the newest intact index generation from disk and publishes it,
+  /// re-deriving its model. No directory configured → kFailedPrecondition.
   StatusOr<index::IndexLoadReport> LoadIndex();
 
   /// Top-k articles for a free-text query against the "news" index.
@@ -195,12 +205,9 @@ class Engine {
       index::QueryStats* stats = nullptr) const;
 
   /// Audience-interest estimate for a draft article: retrieves the top-k
-  /// most similar tweets and — when the serving model is live — scores
-  /// them through the inference server on this thread, weighting each
-  /// candidate's class probabilities by its retrieval score. Falls back
-  /// to the BM25 class vote until a model is trained (BuildIndex trains
-  /// one per generation) or when the snapshot has no feature rows
-  /// (LoadIndex, Recover). Returns kNotFound when nothing matches.
+  /// most similar tweets and scores them with the pinned generation's
+  /// model on this thread, weighting each candidate's class probabilities
+  /// by its retrieval score. Returns kNotFound when nothing matches.
   StatusOr<InterestPrediction> PredictInterest(
       const std::string& draft, size_t k,
       index::QueryStats* stats = nullptr) const;
@@ -214,9 +221,9 @@ class Engine {
   std::vector<StatusOr<InterestPrediction>> PredictInterestBatch(
       const std::vector<std::string>& drafts, size_t k) const;
 
-  /// The current index generation as an immutable snapshot. Holding the
-  /// returned shared_ptr keeps that generation alive across any number of
-  /// concurrent BuildIndex / LoadIndex swaps — the handle concurrent
+  /// The current generation's indexes as an immutable snapshot. Holding
+  /// the returned shared_ptr keeps that generation alive across any number
+  /// of concurrent BuildIndex / LoadIndex swaps — the handle concurrent
   /// readers (and the load driver's workers) query through.
   std::shared_ptr<const IndexMap> IndexSnapshot() const;
 
@@ -225,34 +232,36 @@ class Engine {
   /// snapshot; concurrent callers should hold IndexSnapshot() instead.
   const index::InvertedIndex* GetIndex(const std::string& name) const;
 
-  /// Index generation currently in memory (0 = unsaved / in-memory only).
-  uint64_t index_generation() const {
-    return index_generation_.load(std::memory_order_relaxed);
-  }
+  /// The serving generation's number (0 = nothing published, or an empty
+  /// index directory loaded).
+  uint64_t generation() const { return ServingSnapshot()->generation; }
 
   /// Serving counters since construction (see EngineStatsSnapshot).
   EngineStatsSnapshot stats() const;
 
-  /// The inference server PredictInterest scores through (never null).
-  /// Benches use it to time the model layer on its own.
+  /// Scores the current generation's model (never null). PredictInterest
+  /// does not go through it; benches use it to time the model layer on
+  /// its own.
   serve::InferenceServer* inference_server() const {
     return inference_.get();
   }
-
-  /// Serving-model generation currently installed (0 = none yet).
-  uint64_t model_version() const { return inference_->model_version(); }
 
   /// Escape hatch to the supervisor for follower/promotion flows.
   core::PipelineSupervisor& supervisor() { return supervisor_; }
 
  private:
-  /// Everything one PredictInterest needs pinned together: the index
-  /// generation AND the candidate feature rows aligned with the "tweets"
-  /// index's dense doc ids. One shared_ptr swap publishes both, so a
-  /// query can never score generation-G docs with generation-G' features.
+  /// One serving generation: everything a query or prediction reads,
+  /// pinned together. One shared_ptr swap publishes all of it, so a query
+  /// can never score generation-G docs with generation-G' features or
+  /// model.
   struct ServingData {
     IndexMap indexes;
+    /// Hashed features of the "tweets" index, row r = dense doc id r.
     la::Matrix tweet_features;
+    /// The interest model trained on them; null only when the generation
+    /// holds no tweets, where PredictInterest answers kNotFound first.
+    std::unique_ptr<serve::ServingModel> model;
+    uint64_t generation = 0;
   };
 
   /// Relaxed atomics bumped on the serving hot path. Relaxed is enough:
@@ -266,6 +275,8 @@ class Engine {
     std::atomic<uint64_t> docs_scored{0};
     std::atomic<uint64_t> blocks_decoded{0};
     std::atomic<uint64_t> model_predictions{0};
+    std::atomic<uint64_t> forward_passes{0};
+    std::atomic<uint64_t> rows_scored{0};
   };
 
   FileIo& io() const;
@@ -275,28 +286,25 @@ class Engine {
                                           const std::vector<std::string>& terms,
                                           size_t k,
                                           index::QueryStats* stats) const;
-  StatusOr<std::vector<QueryHit>> Query(const std::string& index_name,
-                                        const std::vector<std::string>& terms,
-                                        size_t k,
-                                        index::QueryStats* stats) const;
-  /// Publishes a serving snapshot (indexes, plus candidate features when
-  /// BuildIndex made them) as the new generation.
-  void SwapServing(ServingData data, uint64_t generation);
+  /// The one publish path: derives the tweet features and the interest
+  /// model from `indexes` and swaps all of it in as `generation`. Publishes
+  /// nothing if training fails.
+  Status Publish(IndexMap indexes, uint64_t generation);
+  /// Scores `features` with `data`'s model and counts the forward pass.
+  StatusOr<la::Matrix> Score(const ServingData& data,
+                             const la::Matrix& features) const;
   /// Combines retrieval hits and per-candidate model probabilities into a
   /// prediction (weights normalised, neighbors reranked by model score).
   InterestPrediction CombineModelPrediction(std::vector<QueryHit> hits,
                                             const la::Matrix& probs,
-                                            size_t first_row) const;
-  /// BM25 class vote over the hits (the pre-model fallback path).
-  InterestPrediction VotePrediction(std::vector<QueryHit> hits) const;
+                                            size_t first_row,
+                                            uint64_t generation) const;
 
   EngineOptions options_;
   core::PipelineSupervisor supervisor_;
   /// Guards the snapshot pointer only; the pointee is immutable.
   mutable std::mutex index_mu_;
   std::shared_ptr<const ServingData> serving_;
-  std::atomic<uint64_t> index_generation_{0};
-  std::atomic<uint64_t> model_generation_{0};
   std::unique_ptr<serve::InferenceServer> inference_;
   mutable Counters counters_;
 };

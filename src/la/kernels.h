@@ -11,8 +11,8 @@ namespace newsdiff::la {
 /// The right operand of a blocked GEMM, pre-packed into the exact
 /// (jc, pc)-panel layout the blocked driver consumes. Packing B is O(k*m)
 /// work per call; for inference the weights are immutable across calls, so
-/// the weight cache (la/weight_cache.h) packs once per model generation and
-/// every call reuses the panels. BlockedMatMulPrepacked over a PackedB is
+/// a served nn::Dense packs them once (Dense::Prepack) and every call
+/// reuses the panels. BlockedMatMulPrepacked over a PackedB is
 /// bitwise identical to BlockedMatMul over the original matrix when the
 /// kc/nc block sizes match — the packed values and the traversal are the
 /// same; only WHO packed them changes.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "la/kernels.h"
-#include "la/weight_cache.h"
 
 namespace newsdiff::nn {
 
@@ -23,16 +22,15 @@ Dense::Dense(size_t in_features, size_t out_features, Rng& rng)
 
 la::Matrix Dense::Forward(const la::Matrix& input, bool training) {
   assert(input.cols() == in_features_);
-  if (training) input_ = input;
+  if (training) {
+    input_ = input;
+    packed_.reset();  // the optimizer step after this pass moves w_
+  }
   la::Matrix out;
-  if (!training && cache_.cache != nullptr &&
-      par_.kernels.kind == KernelKind::kBlocked) {
-    // Inference with a bound cache: the weights were packed once for this
-    // model generation. The prepacked product is bitwise identical to the
-    // per-call blocked GEMM.
-    auto pb =
-        cache_.cache->GetPacked(cache_.key, cache_.version, w_, par_.kernels);
-    la::internal::BlockedMatMulPrepacked(input, *pb, &out, par_);
+  if (packed_.has_value()) {
+    // The prepacked product is bitwise identical to the per-call blocked
+    // GEMM: same panels, same traversal, packed once instead of per call.
+    la::internal::BlockedMatMulPrepacked(input, *packed_, &out, par_);
   } else {
     out = la::MatMul(input, w_, par_);
   }
@@ -57,6 +55,17 @@ la::Matrix Dense::Backward(const la::Matrix& grad_output) {
     la::AxpyN(db, grad_output.RowPtr(r), 1.0, out_features_);
   }
   return la::MatMulTransB(grad_output, w_, par_);
+}
+
+void Dense::Prepack() {
+  if (par_.kernels.kind == KernelKind::kBlocked) {
+    packed_ = la::PackMatrixB(w_, par_.kernels);
+  }
+}
+
+void Dense::set_parallelism(const Parallelism& par) {
+  Layer::set_parallelism(par);
+  packed_.reset();  // packed under the old kernel config
 }
 
 std::vector<Param> Dense::Params() {

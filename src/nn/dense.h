@@ -1,8 +1,10 @@
 #ifndef NEWSDIFF_NN_DENSE_H_
 #define NEWSDIFF_NN_DENSE_H_
 
+#include <optional>
 #include <string>
 
+#include "la/kernels.h"
 #include "nn/layer.h"
 
 namespace newsdiff::nn {
@@ -19,9 +21,12 @@ class Dense : public Layer {
   std::vector<Param> Params() override;
   size_t OutputSize(size_t input_size) const override;
   std::string Name() const override { return "Dense"; }
-  void BindInferenceCache(const InferenceCacheBinding& binding) override {
-    cache_ = binding;
-  }
+  /// Packs `weights()` for the blocked GEMM under the current kernel
+  /// config. A training forward or set_parallelism drops the pack; a
+  /// by-hand write through Params() does not, so prepack after it.
+  void Prepack() override;
+  void set_parallelism(const Parallelism& par) override;
+  bool prepacked() const { return packed_.has_value(); }
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
@@ -36,9 +41,8 @@ class Dense : public Layer {
   la::Matrix dw_;
   la::Matrix db_;
   la::Matrix input_;   // cached for backward
-  /// Optional shared packed-weight cache for inference forwards; unset
-  /// (null cache) keeps the legacy per-call GEMM.
-  InferenceCacheBinding cache_;
+  /// `w_` packed by Prepack; empty keeps the per-call GEMM.
+  std::optional<la::PackedB> packed_;
 };
 
 }  // namespace newsdiff::nn

@@ -8,21 +8,7 @@
 #include "common/rng.h"
 #include "la/matrix.h"
 
-namespace newsdiff::la {
-class PackedWeightCache;
-}
-
 namespace newsdiff::nn {
-
-/// Binds a layer's immutable inference-time weights to a shared cross-call
-/// packed-weight cache (la/weight_cache.h). `key` identifies the weights
-/// (layer index within the model), `version` is the model generation —
-/// bumped on every reload so stale packs swap out RCU-style.
-struct InferenceCacheBinding {
-  la::PackedWeightCache* cache = nullptr;
-  uint64_t key = 0;
-  uint64_t version = 0;
-};
 
 /// A trainable parameter: value and the gradient from the last backward
 /// pass. Both live inside the owning layer; the optimizer mutates `value`.
@@ -70,16 +56,15 @@ class Layer {
   /// bitwise invariant to this setting; Conv1D's backward weight gradient
   /// regroups its batch sum per shard (deterministic for a fixed shard
   /// count, and the legacy sum when the resolved shard count is 1).
-  void set_parallelism(const Parallelism& par) { par_ = par; }
+  virtual void set_parallelism(const Parallelism& par) { par_ = par; }
   const Parallelism& parallelism() const { return par_; }
 
-  /// Binds the layer's inference-time GEMM weights to `binding.cache`.
-  /// Only layers whose forward pass is a weights-on-the-right GEMM (Dense)
-  /// participate; the default is a no-op. (Conv1D's forward is per-row
-  /// DotN over call-resident filter taps — there is no per-call packing to
-  /// hoist.) Training passes never read the cache, so Fit behaviour is
-  /// unchanged by a binding.
-  virtual void BindInferenceCache(const InferenceCacheBinding&) {}
+  /// Packs the layer's inference-time GEMM weights once, under the current
+  /// parallelism, so later inference forwards skip the per-call pack. Only
+  /// layers whose forward pass is a weights-on-the-right GEMM (Dense) hold
+  /// a pack; the default is a no-op. (Conv1D's forward is per-row DotN over
+  /// call-resident filter taps — there is no per-call packing to hoist.)
+  virtual void Prepack() {}
 
  protected:
   Parallelism par_;

@@ -21,15 +21,8 @@ Model& Model::Add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
-void Model::SetParallelism(const Parallelism& par) {
-  for (auto& layer : layers_) layer->set_parallelism(par);
-}
-
-void Model::BindInferenceCache(la::PackedWeightCache* cache,
-                               uint64_t version) {
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->BindInferenceCache(InferenceCacheBinding{cache, i, version});
-  }
+void Model::Prepack() {
+  for (auto& layer : layers_) layer->Prepack();
 }
 
 size_t Model::ParameterCount() {

@@ -153,16 +153,10 @@ class Model {
   /// custom training loops).
   std::vector<Param> Parameters() { return AllParams(); }
 
-  /// Binds every layer's inference-time GEMM weights to a shared
-  /// cross-call packed cache (la/weight_cache.h); each layer's key is its
-  /// index. `version` is the model generation — the serving layer bumps it
-  /// per reload so stale packs swap out. Training is unaffected.
-  void BindInferenceCache(la::PackedWeightCache* cache, uint64_t version);
-
-  /// Pushes an execution parallelism to every layer. Fit does this from
-  /// FitOptions at the top of training; the serving layer calls it once
-  /// per loaded model so inference batches run under the server's config.
-  void SetParallelism(const Parallelism& par);
+  /// Packs every layer's inference-time GEMM weights once (Layer::Prepack)
+  /// for a model whose weights are final. Outputs are bitwise unchanged;
+  /// a later Fit drops the packs.
+  void Prepack();
 
  private:
   std::vector<Param> AllParams();

@@ -13,11 +13,9 @@ uint64_t HashedFeaturizer::HashTerm(std::string_view term) {
   return h;
 }
 
-void HashedFeaturizer::Accumulate(std::string_view term, double count,
-                                  double* row) const {
+HashedFeaturizer::Slot HashedFeaturizer::SlotOf(std::string_view term) const {
   const uint64_t h = HashTerm(term);
-  const double sign = ((h >> 32) & 1u) != 0 ? 1.0 : -1.0;
-  row[h % dim_] += sign * count;
+  return {h % dim_, ((h >> 32) & 1u) != 0 ? 1.0 : -1.0};
 }
 
 void HashedFeaturizer::Normalize(double* row, size_t dim) {
@@ -35,9 +33,26 @@ la::Matrix HashedFeaturizer::FeaturizeCorpus(
   for (size_t d = 0; d < corpus.size(); ++d) {
     double* row = features.RowPtr(d);
     for (const corpus::TermCount& tc : corpus.doc(d).counts) {
-      Accumulate(vocab.Term(tc.term), static_cast<double>(tc.count), row);
+      const Slot slot = SlotOf(vocab.Term(tc.term));
+      row[slot.column] += slot.sign * static_cast<double>(tc.count);
     }
     Normalize(row, dim_);
+  }
+  return features;
+}
+
+la::Matrix HashedFeaturizer::FeaturizeIndex(
+    const index::InvertedIndex& ix) const {
+  la::Matrix features(ix.num_docs(), dim_);
+  for (uint32_t t = 0; t < ix.num_terms(); ++t) {
+    const Slot slot = SlotOf(ix.Term(t));
+    for (index::PostingCursor c(&ix.Postings(t)); !c.exhausted(); c.Next()) {
+      features(c.doc(), slot.column) +=
+          slot.sign * static_cast<double>(c.freq());
+    }
+  }
+  for (size_t d = 0; d < features.rows(); ++d) {
+    Normalize(features.RowPtr(d), dim_);
   }
   return features;
 }

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "corpus/corpus.h"
+#include "index/index.h"
 #include "la/matrix.h"
 
 namespace newsdiff::serve {
@@ -27,14 +28,24 @@ class HashedFeaturizer {
   /// picks the sign (signed hashing keeps collisions mean-zero).
   static uint64_t HashTerm(std::string_view term);
 
-  /// row[h % dim] += sign(h) * count for `term`.
-  void Accumulate(std::string_view term, double count, double* row) const;
+  /// Where `term`'s count goes: column h % dim, with sign(h).
+  struct Slot {
+    size_t column = 0;
+    double sign = 1.0;
+  };
+  Slot SlotOf(std::string_view term) const;
 
   /// L2-normalises `row` in place; all-zero rows stay zero.
   static void Normalize(double* row, size_t dim);
 
   /// One row per document: hashed, signed, L2-normalised bag of counts.
   la::Matrix FeaturizeCorpus(const corpus::Corpus& corpus) const;
+
+  /// The same rows read back from an index's postings (row r = dense doc
+  /// id r), bitwise equal to FeaturizeCorpus over the indexed corpus: the
+  /// index keeps every (term, doc, count), and each cell is a sum of
+  /// integer counts, exact in a double whatever the order of addition.
+  la::Matrix FeaturizeIndex(const index::InvertedIndex& ix) const;
 
  private:
   size_t dim_;

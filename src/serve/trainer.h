@@ -11,10 +11,10 @@
 namespace newsdiff::serve {
 
 /// Configuration for the serving-side interest model: a small MLP over the
-/// hashed features (serve/features.h), retrained on every index rebuild.
-/// The budget knobs (max_rows, epochs) keep a rebuild-with-retrain
-/// sub-second even on the full datagen worlds — the rebuild happens while
-/// traffic is being served, so training cost is serving stall.
+/// hashed features (serve/features.h), trained per serving generation. The
+/// budget knobs (max_rows, epochs) keep a rebuild-with-retrain sub-second
+/// even on the full datagen worlds — the rebuild happens while traffic is
+/// being served, so training cost is serving stall.
 struct InterestModelOptions {
   size_t feature_dim = 64;
   std::vector<size_t> hidden = {48, 24};

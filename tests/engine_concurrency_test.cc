@@ -1,10 +1,12 @@
 // Concurrency tests for the Engine serving path: multi-threaded
-// QueryTrending / PredictInterest racing BuildIndex generation swaps, and
-// concurrent model-scored predictions against single-threaded answers.
-// These are the suites the tsan CI job runs (regex `EngineConcurrency`) —
-// the snapshot-swap in core/engine.cc is exactly the code TSan must see
-// under real thread interleavings.
+// QueryTrending / PredictInterest racing BuildIndex and LoadIndex
+// generation swaps, and concurrent model-scored predictions against
+// single-threaded answers. These are the suites the tsan CI job runs
+// (regex `EngineConcurrency`) — the snapshot-swap in core/engine.cc is
+// exactly the code TSan must see under real thread interleavings.
 #include <atomic>
+#include <filesystem>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -14,10 +16,28 @@
 
 #include "core/engine.h"
 #include "datagen/world.h"
+#include "index/index.h"
 #include "store/database.h"
 
 namespace newsdiff {
 namespace {
+
+namespace fs = std::filesystem;
+
+/// Bitwise equality of two answers; failures compare by code.
+bool SameAnswer(const StatusOr<InterestPrediction>& got,
+                const StatusOr<InterestPrediction>& want) {
+  if (got.ok() != want.ok()) return false;
+  if (!want.ok()) return got.status().code() == want.status().code();
+  bool same = got->model_reranked && got->generation == want->generation &&
+              got->class_weights == want->class_weights &&
+              got->neighbors.size() == want->neighbors.size();
+  for (size_t n = 0; same && n < want->neighbors.size(); ++n) {
+    same = got->neighbors[n].doc == want->neighbors[n].doc &&
+           got->neighbors[n].model_score == want->neighbors[n].model_score;
+  }
+  return same;
+}
 
 class EngineConcurrencyFixture : public ::testing::Test {
  protected:
@@ -53,15 +73,19 @@ TEST_F(EngineConcurrencyFixture, QueriesRaceIndexSwapsWithoutFailures) {
   constexpr int kReaders = 4;
   constexpr int kOpsPerReader = 150;
   constexpr int kSwaps = 4;
-  std::atomic<bool> stop{false};
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> ops{0};
   std::atomic<uint64_t> failures{0};
   std::atomic<uint64_t> empty_results{0};
 
+  // Readers keep going until every swap has landed, so all kSwaps race
+  // live traffic however the threads are scheduled.
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      for (int i = 0; i < kOpsPerReader; ++i) {
+      for (int i = 0; i < kOpsPerReader || !writer_done.load(); ++i) {
+        ops.fetch_add(1);
         if ((i + t) % 2 == 0) {
           StatusOr<std::vector<QueryHit>> hits =
               engine_->QueryTrending(query, 5);
@@ -80,22 +104,20 @@ TEST_F(EngineConcurrencyFixture, QueriesRaceIndexSwapsWithoutFailures) {
     });
   }
   std::thread writer([&] {
-    for (int s = 0; s < kSwaps && !stop.load(); ++s) {
-      ASSERT_TRUE(engine_->BuildIndex(db_).ok());
+    for (int s = 0; s < kSwaps; ++s) {
+      EXPECT_TRUE(engine_->BuildIndex(db_).ok());
     }
+    writer_done.store(true);
   });
-  for (std::thread& r : readers) r.join();
-  stop.store(true);
   writer.join();
+  for (std::thread& r : readers) r.join();
 
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(empty_results.load(), 0u);
   const EngineStatsSnapshot stats = engine_->stats();
-  // Initial build + at least one concurrent rebuild.
-  EXPECT_GE(stats.index_swaps, 2u);
+  EXPECT_EQ(stats.index_swaps, 1u + kSwaps);  // initial build + rebuilds
   EXPECT_EQ(stats.serving_errors, 0u);
-  EXPECT_EQ(stats.trending_queries + stats.interest_predictions,
-            static_cast<uint64_t>(kReaders) * kOpsPerReader);
+  EXPECT_EQ(stats.trending_queries + stats.interest_predictions, ops.load());
 }
 
 // With the model live, concurrent PredictInterest callers get exactly the
@@ -125,16 +147,9 @@ TEST_F(EngineConcurrencyFixture, ConcurrentPredictionsMatchSingleThreaded) {
     threads.emplace_back([&] {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t i = 0; i < drafts.size(); ++i) {
-          StatusOr<InterestPrediction> got =
-              engine_->PredictInterest(drafts[i], 10);
-          bool same = got.ok() && got->model_reranked &&
-                      got->class_weights == want[i].class_weights &&
-                      got->model_version == want[i].model_version &&
-                      got->neighbors.size() == want[i].neighbors.size();
-          for (size_t n = 0; same && n < want[i].neighbors.size(); ++n) {
-            same = got->neighbors[n].doc == want[i].neighbors[n].doc;
+          if (!SameAnswer(engine_->PredictInterest(drafts[i], 10), want[i])) {
+            mismatches.fetch_add(1);
           }
-          if (!same) mismatches.fetch_add(1);
         }
       }
     });
@@ -148,6 +163,99 @@ TEST_F(EngineConcurrencyFixture, ConcurrentPredictionsMatchSingleThreaded) {
   EXPECT_EQ(after.model_predictions - before.model_predictions, calls);
   EXPECT_EQ(after.inference_batches - before.inference_batches, calls);
   EXPECT_EQ(after.serving_errors, before.serving_errors);
+}
+
+// LoadIndex re-derives each generation's model while predictions run: every
+// answer, single or batched, equals the single-threaded answer of the
+// generation it names. Generations alternate between two worlds, and the
+// loader walks them newest to oldest by deleting the newest file.
+TEST_F(EngineConcurrencyFixture,
+       LoadIndexRacesPredictionsAndEachAnswerMatchesItsGeneration) {
+  constexpr uint64_t kGenerations = 4;
+  constexpr int kCallers = 3;
+  const fs::path dir = fs::temp_directory_path() / "newsdiff_engine_loadrace";
+  fs::remove_all(dir);
+  EngineOptions options;
+  options.index_dir = dir.string();
+  options.index_retain = kGenerations;
+  // Same seed, fewer tweets: the same planted events, a different model.
+  datagen::WorldOptions world_options;
+  world_options.num_articles = 200;
+  world_options.num_tweets = 500;
+  world_options.num_users = 120;
+  store::Database other;
+  datagen::GenerateWorld(world_options).LoadInto(other);
+
+  std::vector<std::string> drafts;
+  for (const datagen::PlantedEvent& e : world_.events) {
+    if (e.keywords.size() >= 2) {
+      drafts.push_back(e.keywords[0] + " " + e.keywords[1]);
+    }
+  }
+  std::map<uint64_t, std::vector<StatusOr<InterestPrediction>>> want;
+  {
+    Engine writer(options);
+    for (uint64_t g = 1; g <= kGenerations; ++g) {
+      ASSERT_TRUE(writer.BuildIndex(g % 2 == 1 ? db_ : other).ok());
+      for (const std::string& d : drafts) {
+        want[g].push_back(writer.PredictInterest(d, 10));
+        ASSERT_TRUE(want[g].back().ok()) << d;
+      }
+    }
+  }
+
+  Engine reader(options);
+  ASSERT_TRUE(reader.LoadIndex().ok());
+  std::atomic<bool> loader_done{false};
+  std::atomic<int> calls{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::atomic<uint64_t>> seen(kGenerations + 1);
+  auto check = [&](const StatusOr<InterestPrediction>& got, size_t i) {
+    const uint64_t g = got.ok() ? got->generation : 0;
+    if (g >= 1 && g <= kGenerations && SameAnswer(got, want.at(g)[i])) {
+      seen[g].fetch_add(1);
+    } else {
+      mismatches.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      do {
+        for (size_t i = 0; i < drafts.size(); ++i) {
+          check(reader.PredictInterest(drafts[i], 10), i);
+          calls.fetch_add(1);
+        }
+        if (t == 0) {
+          const std::vector<StatusOr<InterestPrediction>> batch =
+              reader.PredictInterestBatch(drafts, 10);
+          for (size_t i = 0; i < batch.size(); ++i) check(batch[i], i);
+        }
+      } while (!loader_done.load());
+    });
+  }
+  // Of the next n completed calls at most kCallers began before the wait,
+  // so n > kCallers guarantees a call on the newest generation.
+  const auto wait_for_calls = [&](int n) {
+    const int target = calls.load() + n;
+    while (calls.load() < target) std::this_thread::yield();
+  };
+  for (uint64_t g = kGenerations; g > 1; --g) {
+    wait_for_calls(kCallers + 1);
+    fs::remove(dir / index::IndexFileName(g));
+    StatusOr<index::IndexLoadReport> loaded = reader.LoadIndex();
+    EXPECT_TRUE(loaded.ok() && loaded->generation == g - 1);
+  }
+  wait_for_calls(kCallers + 1);
+  loader_done.store(true);
+  for (std::thread& c : callers) c.join();
+  fs::remove_all(dir);
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (uint64_t g = 1; g <= kGenerations; ++g) {
+    EXPECT_GT(seen[g].load(), 0u) << "no answer from generation " << g;
+  }
+  EXPECT_EQ(reader.stats().index_swaps, kGenerations);
 }
 
 TEST_F(EngineConcurrencyFixture, SnapshotPinsItsGenerationAcrossSwaps) {

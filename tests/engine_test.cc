@@ -1,10 +1,13 @@
 // Tests for the public serving facade (core/engine.h): EngineOptions view
-// consistency, BuildIndex / LoadIndex / Recover round trips, and the
-// QueryTrending / PredictInterest online paths. Suite names carry the
+// consistency, BuildIndex / LoadIndex / Recover round trips, the
+// QueryTrending / PredictInterest online paths, and the serving-generation
+// guarantees: a failed save changes no answer, and a restart at any crash
+// point serves the writer's answers bit for bit. Suite names carry the
 // `Engine` prefix: the asan/ubsan CI jobs select them by that regex.
 #include "core/engine.h"
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,6 +15,7 @@
 
 #include "core/collection.h"
 #include "core/preprocess.h"
+#include "datagen/faults.h"
 #include "datagen/world.h"
 #include "index/index.h"
 #include "store/database.h"
@@ -58,6 +62,57 @@ class EngineFixture : public ::testing::Test {
       }
     }
     return "market";
+  }
+
+  /// A second generation's world: the same planted events over fewer
+  /// tweets, so the drafts still match and the model differs.
+  void LoadSecondWorld(store::Database* db) const {
+    datagen::WorldOptions world_options;
+    world_options.num_articles = 400;
+    world_options.num_tweets = 1000;
+    world_options.num_users = 200;
+    datagen::GenerateWorld(world_options).LoadInto(*db);
+  }
+
+  /// Fixed drafts: every planted event's first two keywords.
+  std::vector<std::string> Drafts() const {
+    std::vector<std::string> drafts;
+    for (const datagen::PlantedEvent& e : world_.events) {
+      if (e.keywords.size() >= 2) {
+        drafts.push_back(e.keywords[0] + " " + e.keywords[1]);
+      }
+    }
+    return drafts;
+  }
+
+  static std::vector<StatusOr<InterestPrediction>> Answers(
+      const Engine& engine, const std::vector<std::string>& drafts) {
+    std::vector<StatusOr<InterestPrediction>> answers;
+    for (const std::string& d : drafts) {
+      answers.push_back(engine.PredictInterest(d, 10));
+    }
+    return answers;
+  }
+
+  /// Every answer, bitwise: generation, class weights, neighbours.
+  static void ExpectSameAnswers(
+      const std::vector<StatusOr<InterestPrediction>>& got,
+      const std::vector<StatusOr<InterestPrediction>>& want,
+      const std::string& where) {
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[i].ok() && want[i].ok()) << where << ", draft " << i;
+      const InterestPrediction& g = *got[i];
+      const InterestPrediction& w = *want[i];
+      EXPECT_EQ(g.generation, w.generation) << where << ", draft " << i;
+      EXPECT_EQ(g.class_weights, w.class_weights) << where << ", draft " << i;
+      ASSERT_EQ(g.neighbors.size(), w.neighbors.size()) << where;
+      for (size_t n = 0; n < w.neighbors.size(); ++n) {
+        EXPECT_EQ(g.neighbors[n].doc, w.neighbors[n].doc) << where;
+        EXPECT_EQ(g.neighbors[n].model_score, w.neighbors[n].model_score)
+            << where;
+      }
+    }
   }
 
   fs::path dir_;
@@ -108,7 +163,8 @@ TEST_F(EngineFixture, BuildIndexReportsCorpusShapes) {
   EXPECT_EQ(report->tweet_docs, world_.tweets.size());
   EXPECT_GT(report->news_terms, 0u);
   EXPECT_GT(report->tweet_terms, 0u);
-  EXPECT_EQ(report->generation, 0u);  // no directory configured
+  EXPECT_EQ(report->generation, 1u);  // in memory: previous + 1
+  EXPECT_EQ(engine.generation(), 1u);
   EXPECT_NE(engine.GetIndex("news"), nullptr);
   EXPECT_NE(engine.GetIndex("tweets"), nullptr);
   EXPECT_EQ(engine.GetIndex("nope"), nullptr);
@@ -165,7 +221,7 @@ TEST_F(EngineFixture, PredictInterestIsModelRerankedAfterBuild) {
   ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
   ASSERT_FALSE(prediction->neighbors.empty());
   EXPECT_TRUE(prediction->model_reranked);
-  EXPECT_EQ(prediction->model_version, 1u);  // the build's one generation
+  EXPECT_EQ(prediction->generation, 1u);  // the build's one generation
   ASSERT_EQ(prediction->class_weights.size(), 3u);  // Table-2 classes
   double total = 0.0;
   for (double w : prediction->class_weights) {
@@ -187,41 +243,6 @@ TEST_F(EngineFixture, PredictInterestIsModelRerankedAfterBuild) {
   }
 }
 
-// A loaded index carries no feature rows, so the answer is the BM25 vote:
-// each neighbour's Table-2 label class gets its retrieval score.
-TEST_F(EngineFixture, PredictInterestVotesOverNeighbourClasses) {
-  Engine writer(IndexedOptions());
-  ASSERT_TRUE(writer.BuildIndex(db_).ok());
-  Engine reader(IndexedOptions());
-  ASSERT_TRUE(reader.LoadIndex().ok());
-  StatusOr<InterestPrediction> prediction =
-      reader.PredictInterest(EventQuery(), 25);
-  ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
-  ASSERT_FALSE(prediction->neighbors.empty());
-  EXPECT_FALSE(prediction->model_reranked);
-  EXPECT_EQ(prediction->model_version, 0u);
-
-  std::vector<double> want(3, 0.0);
-  double total = 0.0;
-  for (const QueryHit& h : prediction->neighbors) {
-    ASSERT_GE(h.label, 0.0);  // neighbour labels are Table-2 classes
-    ASSERT_LE(h.label, 2.0);
-    EXPECT_EQ(h.model_score, 0.0);
-    want[static_cast<size_t>(h.label)] += h.score;
-    total += h.score;
-  }
-  ASSERT_GT(total, 0.0);
-  ASSERT_EQ(prediction->class_weights.size(), want.size());
-  for (size_t c = 0; c < want.size(); ++c) {
-    EXPECT_DOUBLE_EQ(prediction->class_weights[c], want[c] / total)
-        << "class " << c;
-  }
-  EXPECT_DOUBLE_EQ(
-      prediction->confidence,
-      prediction->class_weights[static_cast<size_t>(
-          prediction->predicted_class)]);
-}
-
 TEST_F(EngineFixture, PredictInterestWithNoMatchesIsNotFound) {
   Engine engine(EngineOptions{});
   ASSERT_TRUE(engine.BuildIndex(db_).ok());
@@ -235,7 +256,7 @@ TEST_F(EngineFixture, BuildPersistsAndASecondEngineLoads) {
   StatusOr<BuildIndexReport> report = writer.BuildIndex(db_);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->generation, 1u);
-  EXPECT_EQ(writer.index_generation(), 1u);
+  EXPECT_EQ(writer.generation(), 1u);
 
   Engine reader(IndexedOptions());
   StatusOr<index::IndexLoadReport> loaded = reader.LoadIndex();
@@ -261,7 +282,7 @@ TEST_F(EngineFixture, RecoverOnFreshDeploymentIsOk) {
   Engine engine(options);
   store::Database db;
   ASSERT_TRUE(engine.Recover(db).ok());
-  EXPECT_EQ(engine.index_generation(), 0u);
+  EXPECT_EQ(engine.generation(), 0u);
 }
 
 TEST_F(EngineFixture, RecoverPicksUpAPersistedIndex) {
@@ -274,11 +295,94 @@ TEST_F(EngineFixture, RecoverPicksUpAPersistedIndex) {
   Engine engine(options);
   store::Database db;
   ASSERT_TRUE(engine.Recover(db).ok());
-  EXPECT_EQ(engine.index_generation(), 1u);
+  EXPECT_EQ(engine.generation(), 1u);
   StatusOr<std::vector<QueryHit>> hits =
       engine.QueryTrending(EventQuery(), 5);
   ASSERT_TRUE(hits.ok());
   EXPECT_FALSE(hits->empty());
+}
+
+// A build whose save fails publishes nothing: not its indexes, not its
+// model. The second world trains a different model, so any leak shows.
+TEST_F(EngineFixture, FailedSaveKeepsServingThePreviousGeneration) {
+  size_t first_build_ops = 0;
+  {
+    datagen::FaultyFileIo counting(DefaultFileIo(), {});
+    EngineOptions options = IndexedOptions();
+    options.index_dir = dir() + "/count";
+    options.io = &counting;
+    ASSERT_TRUE(Engine(options).BuildIndex(db_).ok());
+    first_build_ops = counting.counters().ops;
+  }
+  datagen::StorageFaultOptions fault;
+  fault.crash_after_ops = first_build_ops;  // every later op fails
+  datagen::FaultyFileIo faulty(DefaultFileIo(), fault);
+  EngineOptions options = IndexedOptions();
+  options.io = &faulty;
+  Engine engine(options);
+  ASSERT_TRUE(engine.BuildIndex(db_).ok());
+  const std::vector<std::string> drafts = Drafts();
+  const std::vector<StatusOr<InterestPrediction>> before =
+      Answers(engine, drafts);
+
+  store::Database db2;
+  LoadSecondWorld(&db2);
+  EXPECT_FALSE(engine.BuildIndex(db2).ok());
+  EXPECT_EQ(engine.generation(), 1u);
+  ExpectSameAnswers(Answers(engine, drafts), before, "after failed save");
+}
+
+// A restart re-derives the model from INDEX-<gen>, so whichever generation
+// a crash mid-save leaves on disk, a fresh Engine answers exactly as the
+// writer did for that generation, through single and batch calls alike.
+// The last crash point lies past the save: the new generation committed.
+TEST_F(EngineFixture, RecoverServesTheWritersAnswersAtEveryCrashPoint) {
+  store::Database db2;
+  LoadSecondWorld(&db2);
+  const std::vector<std::string> drafts = Drafts();
+  std::map<uint64_t, std::vector<StatusOr<InterestPrediction>>> want;
+  size_t first_build_ops = 0;
+  size_t second_build_ops = 0;
+  {
+    datagen::FaultyFileIo counting(DefaultFileIo(), {});
+    EngineOptions options = IndexedOptions();
+    options.io = &counting;
+    Engine writer(options);
+    ASSERT_TRUE(writer.BuildIndex(db_).ok());
+    first_build_ops = counting.counters().ops;
+    want[1] = Answers(writer, drafts);
+    ASSERT_TRUE(writer.BuildIndex(db2).ok());
+    second_build_ops = counting.counters().ops - first_build_ops;
+    want[2] = Answers(writer, drafts);
+  }
+  ASSERT_GT(second_build_ops, 0u);
+
+  std::map<uint64_t, size_t> recovered;
+  for (size_t crash = 0; crash <= second_build_ops; ++crash) {
+    const std::string where = "crash point " + std::to_string(crash);
+    fs::remove_all(dir_);
+    {
+      datagen::StorageFaultOptions fault;
+      fault.crash_after_ops = first_build_ops + crash;
+      datagen::FaultyFileIo faulty(DefaultFileIo(), fault);
+      EngineOptions options = IndexedOptions();
+      options.io = &faulty;
+      Engine writer(options);
+      ASSERT_TRUE(writer.BuildIndex(db_).ok()) << where;
+      (void)writer.BuildIndex(db2);  // usually fails; that's the point
+    }
+    Engine restarted(IndexedOptions());
+    store::Database db;
+    ASSERT_TRUE(restarted.Recover(db).ok()) << where;
+    const uint64_t generation = restarted.generation();
+    ASSERT_TRUE(generation == 1u || generation == 2u) << where;
+    ++recovered[generation];
+    ExpectSameAnswers(Answers(restarted, drafts), want[generation], where);
+    ExpectSameAnswers(restarted.PredictInterestBatch(drafts, 10),
+                      want[generation], where + " (batch)");
+  }
+  EXPECT_GT(recovered[1], 0u);
+  EXPECT_GT(recovered[2], 0u);
 }
 
 }  // namespace

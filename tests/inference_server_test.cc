@@ -1,23 +1,26 @@
-// Tests for the inference server (serve/inference_server.*) and the
-// cross-call packed-weight cache it serves from: input rejections, bitwise
-// agreement with the model's own forward pass, batch invariance, cache
-// reuse, and model hot-swaps racing callers. The
-// Inference*/InferenceConcurrency* suites run under the sanitizer CI jobs
-// (selected by the `Inference` test-name regex).
-#include <array>
+// Tests for the serving model and the inference server
+// (serve/inference_server.*): input rejections, bitwise agreement with the
+// unpacked model's own forward pass, batch invariance, and model swaps
+// racing callers; and for the index-derived features the serving model is
+// trained on (serve/features.*). The Inference*/InferenceConcurrency*
+// suites run under the sanitizer CI jobs (the `Inference` name regex).
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "corpus/corpus.h"
+#include "index/index.h"
 #include "la/matrix.h"
 #include "nn/architectures.h"
+#include "serve/features.h"
 #include "serve/inference_server.h"
 
 namespace newsdiff::serve {
@@ -34,6 +37,25 @@ nn::Model TestModel(uint64_t seed = 41) {
   config.seed = seed;
   return nn::BuildMlp(config);
 }
+
+std::shared_ptr<ServingModel> Served(uint64_t seed = 41) {
+  return std::make_shared<ServingModel>(TestModel(seed));
+}
+
+/// The current model an InferenceServer reads, swapped the way the Engine
+/// swaps its serving generation.
+struct CurrentModel {
+  std::shared_ptr<ServingModel> Get() {
+    std::lock_guard<std::mutex> lock(mu);
+    return model;
+  }
+  void Set(std::shared_ptr<ServingModel> next) {
+    std::lock_guard<std::mutex> lock(mu);
+    model = std::move(next);
+  }
+  std::mutex mu;
+  std::shared_ptr<ServingModel> model;
+};
 
 la::Matrix RandomFeatures(size_t rows, uint64_t seed) {
   la::Matrix m(rows, kDim);
@@ -57,98 +79,72 @@ bool Bitwise(const la::Matrix& a, const la::Matrix& b) {
 }
 
 TEST(InferenceServerTest, RejectsBeforeModelLoaded) {
-  InferenceServer server{Parallelism{}};
-  EXPECT_FALSE(server.has_model());
-  EXPECT_EQ(server.model_version(), 0u);
+  InferenceServer server([] { return std::shared_ptr<ServingModel>(); });
   auto result = server.Predict(RandomFeatures(1, 1));
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(InferenceServerTest, RejectsMismatchedFeatureWidth) {
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(), 1);
+  ServingModel model(TestModel());
   la::Matrix narrow(1, kDim - 1);
-  EXPECT_EQ(server.Predict(narrow).status().code(),
+  EXPECT_EQ(model.Predict(narrow).status().code(),
             StatusCode::kInvalidArgument);
 }
 
-// The served answer is the model's own forward pass: routing the dense
-// layers through the packed-weight cache never changes a bit.
+// The served answer is the model's own forward pass: the weights packed
+// once at construction never change a bit.
 TEST(InferenceServerTest, PredictMatchesDirectBitwise) {
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(), 1);
+  std::shared_ptr<ServingModel> model = Served();
+  InferenceServer server([model] { return model; });
   nn::Model reference = TestModel();
   la::Matrix features = RandomFeatures(7, 2);
-  uint64_t version = 0;
-  auto served = server.Predict(features, &version);
+  auto served = server.Predict(features);
   ASSERT_TRUE(served.ok()) << served.status().message();
-  EXPECT_EQ(version, 1u);
   const la::Matrix direct = reference.PredictProba(features);
   ASSERT_EQ(served->rows(), 7u);
   ASSERT_EQ(served->cols(), kClasses);
   for (size_t r = 0; r < 7; ++r) ExpectRowBitwise(*served, r, direct, r);
-  const InferenceServerStats stats = server.stats();
-  EXPECT_EQ(stats.forward_passes, 1u);
-  EXPECT_EQ(stats.rows, 7u);
 }
 
 // The contract explicit batching depends on: batch-of-N row i is bitwise
 // equal to the same row predicted alone, so WHAT a row is batched with
 // never changes its answer.
 TEST(InferenceServerTest, BatchCompositionIsBitwiseInvariant) {
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(), 1);
+  ServingModel model(TestModel());
   la::Matrix batch = RandomFeatures(9, 3);
-  auto all = server.Predict(batch);
+  auto all = model.Predict(batch);
   ASSERT_TRUE(all.ok());
   for (size_t r = 0; r < batch.rows(); ++r) {
     la::Matrix one(1, kDim);
     for (size_t c = 0; c < kDim; ++c) one.RowPtr(0)[c] = batch.RowPtr(r)[c];
-    auto single = server.Predict(one);
+    auto single = model.Predict(one);
     ASSERT_TRUE(single.ok());
     ExpectRowBitwise(*all, r, *single, 0);
   }
 }
 
-TEST(InferenceServerTest, PackedCacheHitsAfterWarmup) {
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(), 1);  // warmup forward packs every layer
-  const la::WeightCacheStats before = server.cache_stats();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(server.Predict(RandomFeatures(2, 10 + i)).ok());
-  }
-  const la::WeightCacheStats after = server.cache_stats();
-  EXPECT_GT(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses)
-      << "serving traffic must never re-pack an installed generation";
-}
-
+// The server scores whatever model is current: a swapped-in generation,
+// packed at its own construction, serves its own weights.
 TEST(InferenceServerTest, ReloadSwapsGenerationAndRepacks) {
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(41), 1);
+  CurrentModel current;
+  current.Set(Served(41));
+  InferenceServer server([&current] { return current.Get(); });
   la::Matrix features = RandomFeatures(3, 11);
   auto v1 = server.Predict(features);
   ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(server.model_version(), 1u);
 
-  server.LoadModel(TestModel(99), 2);  // different init: different outputs
-  EXPECT_EQ(server.model_version(), 2u);
-  EXPECT_GE(server.cache_stats().swaps, 1u);
+  current.Set(Served(99));  // different init: different outputs
   auto v2 = server.Predict(features);
   ASSERT_TRUE(v2.ok());
-  bool any_diff = false;
-  for (size_t i = 0; i < v1->size(); ++i) {
-    if (v1->data()[i] != v2->data()[i]) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff) << "new generation must actually serve new weights";
-  EXPECT_EQ(server.stats().model_swaps, 2u);
+  EXPECT_TRUE(Bitwise(*v2, TestModel(99).PredictProba(features)));
+  EXPECT_FALSE(Bitwise(*v1, *v2))
+      << "new generation must actually serve new weights";
 }
 
 // --- Concurrency: run under tsan via the Inference regex. ---
 
 TEST(InferenceConcurrencyTest, ConcurrentSubmittersGetConsistentAnswers) {
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(), 1);
+  ServingModel model(TestModel());
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
@@ -165,20 +161,19 @@ TEST(InferenceConcurrencyTest, ConcurrentSubmittersGetConsistentAnswers) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto served = server.Predict(inputs[t][i]);
+        auto served = model.Predict(inputs[t][i]);
         if (!served.ok() || !Bitwise(*served, want[t][i])) ++mismatches;
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(server.stats().forward_passes,
-            static_cast<uint64_t>(kThreads * kPerThread));
 }
 
 TEST(InferenceConcurrencyTest, HotSwapRacesInFlightBatches) {
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(41), 1);
+  CurrentModel current;
+  current.Set(Served(41));
+  InferenceServer server([&current] { return current.Get(); });
 
   std::atomic<bool> stop{false};
   std::atomic<int> errors{0};
@@ -195,66 +190,60 @@ TEST(InferenceConcurrencyTest, HotSwapRacesInFlightBatches) {
     });
   }
   for (uint64_t version = 2; version <= 12; ++version) {
-    server.LoadModel(TestModel(40 + version), version);
+    current.Set(Served(40 + version));
   }
   stop.store(true);
   for (auto& th : predictors) th.join();
   EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(server.model_version(), 12u);
-  EXPECT_GE(server.cache_stats().swaps, 1u);
+  const la::Matrix features = RandomFeatures(2, 1);
+  auto last = server.Predict(features);
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(Bitwise(*last, TestModel(52).PredictProba(features)));
 }
 
-// The version Predict reports is the generation that produced the answer,
-// even while LoadModel swaps generations under the callers.
-TEST(InferenceConcurrencyTest, ReportedVersionNamesTheGenerationThatScored) {
-  constexpr uint64_t kGenerations = 12;
-  constexpr int kCallers = 3;
-  const la::Matrix features = RandomFeatures(4, 7);
-  std::map<uint64_t, la::Matrix> want;
-  for (uint64_t v = 1; v <= kGenerations; ++v) {
-    want[v] = TestModel(40 + v).PredictProba(features);
+// Features read back from an index's postings equal the corpus-derived
+// ones bit for bit — built in memory or parsed from its serialized form —
+// including a zero-term document and two terms that share a column with
+// opposite signs (equal counts cancel to an all-zero row).
+TEST(InferenceFeaturesTest, FeaturizeIndexMatchesFeaturizeCorpusBitwise) {
+  constexpr size_t kFeatureDim = 8;
+  const HashedFeaturizer featurizer(kFeatureDim);
+  std::string plus, minus;  // two terms of column 0, one of each sign
+  for (int i = 0; plus.empty() || minus.empty(); ++i) {
+    const std::string term = "t" + std::to_string(i);
+    const HashedFeaturizer::Slot slot = featurizer.SlotOf(term);
+    std::string& pick = slot.sign > 0 ? plus : minus;
+    if (slot.column == 0 && pick.empty()) pick = term;
   }
+  corpus::Corpus corpus;
+  corpus.AddDocument({});
+  corpus.AddDocument({plus, plus, minus, minus});
+  corpus.AddDocument({plus, plus, plus, minus, "other"});
+  Rng rng(5);
+  for (int d = 0; d < 200; ++d) {
+    std::vector<std::string> tokens;
+    for (size_t n = rng.NextBelow(12); n > 0; --n) {
+      tokens.push_back("w" + std::to_string(rng.NextBelow(60)));
+    }
+    corpus.AddDocument(tokens);
+  }
+  index::IndexOptions options;
+  options.block_size = 4;  // many blocks per posting list
+  StatusOr<index::InvertedIndex> built =
+      index::InvertedIndex::Build(corpus, options);
+  ASSERT_TRUE(built.ok());
+  std::string body;
+  built->AppendTo(&body);
+  StatusOr<index::InvertedIndex> parsed = index::InvertedIndex::Parse(body);
+  ASSERT_TRUE(parsed.ok());
 
-  InferenceServer server{Parallelism{}};
-  server.LoadModel(TestModel(41), 1);
-  std::atomic<bool> stop{false};
-  std::atomic<int> mismatches{0};
-  std::atomic<int> calls{0};
-  std::array<std::atomic<int>, kGenerations + 1> seen{};
-  std::vector<std::thread> callers;
-  for (int t = 0; t < kCallers; ++t) {
-    callers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        uint64_t version = 0;
-        auto served = server.Predict(features, &version);
-        auto expected = want.find(version);
-        if (!served.ok() || expected == want.end() ||
-            !Bitwise(*served, expected->second)) {
-          ++mismatches;
-        } else {
-          ++seen[version];
-        }
-        ++calls;
-      }
-    });
+  const la::Matrix want = featurizer.FeaturizeCorpus(corpus);
+  EXPECT_TRUE(Bitwise(featurizer.FeaturizeIndex(*built), want));
+  EXPECT_TRUE(Bitwise(featurizer.FeaturizeIndex(*parsed), want));
+  for (size_t row : {0, 1}) {
+    for (size_t c = 0; c < kFeatureDim; ++c) EXPECT_EQ(want(row, c), 0.0);
   }
-  // Of the next n completions at most kCallers began before the wait, so
-  // n > kCallers guarantees a call that started on the newest generation.
-  const auto wait_for_calls = [&](int n) {
-    const int target = calls.load() + n;
-    while (calls.load() < target) std::this_thread::yield();
-  };
-  wait_for_calls(kCallers + 1);
-  for (uint64_t v = 2; v <= kGenerations; ++v) {
-    server.LoadModel(TestModel(40 + v), v);
-    wait_for_calls(kCallers + 1);
-  }
-  stop.store(true);
-  for (auto& th : callers) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  for (uint64_t v = 1; v <= kGenerations; ++v) {
-    EXPECT_GT(seen[v].load(), 0) << "no call scored on generation " << v;
-  }
+  EXPECT_GT(want(2, 0), 0.0);  // 3 * (+1) + 1 * (-1) in column 0
 }
 
 }  // namespace

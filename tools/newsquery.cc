@@ -12,11 +12,10 @@
 //   newsquery predict <dir> <draft...> [--k N] [--batch <file>]
 //       Audience-interest estimate for a draft headline: the k most
 //       similar tweets are retrieved by BM25 and reranked through the
-//       trained MLP via the inference server (the model is trained as
-//       part of the in-memory index build, so this command needs the full
-//       store, not just <dir>/index). --batch scores one draft per line of
-//       <file> with PredictInterestBatch: one model forward pass over
-//       every draft's candidates.
+//       interest MLP, which loading re-derives from the newest INDEX-<gen>
+//       (it reads <dir>/index only and writes nothing). --batch scores
+//       one draft per line of <file> with PredictInterestBatch: one model
+//       forward pass over every draft's candidates.
 //
 // Exit status is 0 on success, 1 on any error (message on stderr).
 #include <cstdio>
@@ -162,7 +161,7 @@ int RunTrending(const std::string& dir, const Args& args) {
       engine.QueryTrending(JoinWords(args.words), args.k, &stats);
   if (!hits.ok()) return Fail(hits.status());
   std::printf("trending: %zu hits (index generation %llu)\n", hits->size(),
-              static_cast<unsigned long long>(engine.index_generation()));
+              static_cast<unsigned long long>(engine.generation()));
   for (const QueryHit& h : *hits) {
     std::printf("  article %lld  score=%.4f  published=%lld\n",
                 static_cast<long long>(h.external_id), h.score,
@@ -193,15 +192,9 @@ StatusOr<std::vector<std::string>> ReadDrafts(const std::string& path) {
 
 int RunPredict(const std::string& dir, const Args& args) {
   if (args.words.empty() && args.batch_file.empty()) return Usage();
-  // The serving model is trained during the index build (the index dir
-  // alone has no model), so predict rebuilds from the full store — that
-  // also warms the inference server's packed-weight cache.
-  newsdiff::store::Database db;
-  Status loaded = db.LoadFromDir(dir);
-  if (!loaded.ok()) return Fail(loaded);
   Engine engine(OptionsFor(dir));
-  StatusOr<newsdiff::BuildIndexReport> built = engine.BuildIndex(db);
-  if (!built.ok()) return Fail(built.status());
+  StatusOr<newsdiff::index::IndexLoadReport> loaded = engine.LoadIndex();
+  if (!loaded.ok()) return Fail(loaded.status());
 
   if (!args.batch_file.empty()) {
     StatusOr<std::vector<std::string>> drafts = ReadDrafts(args.batch_file);
@@ -222,18 +215,17 @@ int RunPredict(const std::string& dir, const Args& args) {
         continue;
       }
       const InterestPrediction& p = *results[i];
-      std::printf("  %-40.40s  class %d  confidence %.3f  %s\n",
-                  (*drafts)[i].c_str(), p.predicted_class, p.confidence,
-                  p.model_reranked ? "model" : "vote");
+      std::printf("  %-40.40s  class %d  confidence %.3f\n",
+                  (*drafts)[i].c_str(), p.predicted_class, p.confidence);
     }
     const newsdiff::EngineStatsSnapshot stats = engine.stats();
     std::printf(
         "batch: %zu drafts, %zu failed  [forward_passes=%llu rows=%llu "
-        "model_version=%llu]\n",
+        "generation=%llu]\n",
         results.size(), failures,
         static_cast<unsigned long long>(stats.inference_batches),
         static_cast<unsigned long long>(stats.inference_batched_rows),
-        static_cast<unsigned long long>(engine.model_version()));
+        static_cast<unsigned long long>(engine.generation()));
     return failures == 0 ? 0 : 1;
   }
 
@@ -241,14 +233,12 @@ int RunPredict(const std::string& dir, const Args& args) {
   StatusOr<InterestPrediction> prediction =
       engine.PredictInterest(JoinWords(args.words), args.k, &stats);
   if (!prediction.ok()) return Fail(prediction.status());
-  std::printf("predict: class %d (confidence %.3f) from %zu neighbours%s\n",
-              prediction->predicted_class, prediction->confidence,
-              prediction->neighbors.size(),
-              prediction->model_reranked ? " (model-reranked)" : "");
-  if (prediction->model_reranked) {
-    std::printf("  model version %llu\n",
-                static_cast<unsigned long long>(prediction->model_version));
-  }
+  std::printf(
+      "predict: class %d (confidence %.3f) from %zu neighbours "
+      "(model-reranked)\n  generation %llu\n",
+      prediction->predicted_class, prediction->confidence,
+      prediction->neighbors.size(),
+      static_cast<unsigned long long>(prediction->generation));
   for (size_t c = 0; c < prediction->class_weights.size(); ++c) {
     std::printf("  class %zu weight %.3f\n", c, prediction->class_weights[c]);
   }
