@@ -1,9 +1,12 @@
 // Micro-benchmarks for the substrates (google-benchmark): tokenizer
-// throughput, TFIDF matrix build, one NMF iteration, MABED detection,
-// one Word2Vec sentence, dense/conv forward+backward, store insert/find.
+// throughput, the three §4.2 corpus builds, TFIDF matrix build, one NMF
+// iteration, MABED detection, one Word2Vec sentence, dense/conv
+// forward+backward, store insert/find.
 #include <benchmark/benchmark.h>
 
 #include "core/assignment.h"
+#include "core/collection.h"
+#include "core/preprocess.h"
 #include "corpus/weighting.h"
 #include "embed/pvdbow.h"
 #include "datagen/world.h"
@@ -60,6 +63,61 @@ void BM_TokenizeTwitterED(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TokenizeTwitterED);
+
+// The shared world read back through the store, as BuildIndex and the
+// pipeline read it.
+struct SharedRecords {
+  std::vector<core::NewsRecord> news;
+  std::vector<core::TweetRecord> tweets;
+  size_t news_bytes = 0;   // title + " " + body
+  size_t tweet_bytes = 0;
+};
+
+const SharedRecords& Records() {
+  static const SharedRecords* kRecords = [] {
+    store::Database db;
+    SharedWorld().LoadInto(db);
+    auto* r = new SharedRecords{*core::LoadNews(db), *core::LoadTweets(db)};
+    for (const core::NewsRecord& n : r->news) {
+      r->news_bytes += n.title.size() + 1 + n.body.size();
+    }
+    for (const core::TweetRecord& t : r->tweets) {
+      r->tweet_bytes += t.text.size();
+    }
+    return r;
+  }();
+  return *kRecords;
+}
+
+// One whole corpus build per iteration: tokenizing plus interning.
+template <typename Record>
+void RunCorpusBuild(benchmark::State& state,
+                    corpus::Corpus (*build)(const std::vector<Record>&),
+                    const std::vector<Record>& records, size_t bytes) {
+  for (auto _ : state) {
+    corpus::Corpus corp = build(records);
+    benchmark::DoNotOptimize(corp);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+
+void BM_BuildNewsTM(benchmark::State& state) {
+  RunCorpusBuild(state, core::BuildNewsTM, Records().news,
+                 Records().news_bytes);
+}
+BENCHMARK(BM_BuildNewsTM);
+
+void BM_BuildNewsED(benchmark::State& state) {
+  RunCorpusBuild(state, core::BuildNewsED, Records().news,
+                 Records().news_bytes);
+}
+BENCHMARK(BM_BuildNewsED);
+
+void BM_BuildTwitterED(benchmark::State& state) {
+  RunCorpusBuild(state, core::BuildTwitterED, Records().tweets,
+                 Records().tweet_bytes);
+}
+BENCHMARK(BM_BuildTwitterED);
 
 corpus::Corpus BuildSmallCorpus() {
   corpus::Corpus corp;

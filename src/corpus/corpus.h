@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -32,13 +33,25 @@ struct Document {
 };
 
 /// A corpus owns a vocabulary and a list of documents; it maintains the
-/// document frequencies needed by IDF. Documents are added as pre-tokenised
-/// token strings (the text pipelines produce those).
+/// document frequencies needed by IDF. A document arrives as a token
+/// stream: AddToken interns each token as the text pipelines emit it, and
+/// FinishDocument adds the document those tokens make up. Term ids are
+/// assigned in first-seen order across the stream.
 class Corpus {
  public:
   Corpus() = default;
 
-  /// Adds a document; returns its index in the corpus.
+  /// Interns `token` as the next token of the document being streamed in.
+  void AddToken(std::string_view token) {
+    pending_.push_back(vocab_.GetOrAdd(token));
+  }
+
+  /// Adds the document made of the tokens streamed in since the last one;
+  /// returns its index in the corpus.
+  size_t FinishDocument(UnixSeconds timestamp = 0, int64_t external_id = -1);
+
+  /// Adds a pre-tokenised document: AddToken per token, then
+  /// FinishDocument.
   size_t AddDocument(const std::vector<std::string>& tokens,
                      UnixSeconds timestamp = 0, int64_t external_id = -1);
 
@@ -56,6 +69,13 @@ class Corpus {
   Vocabulary vocab_;
   std::vector<Document> docs_;
   uint64_t total_tokens_ = 0;
+  // Reused from one document to the next, and all zero or empty between
+  // documents: the streamed document's token ids, a count per term id, a
+  // bit per term id present, and the indexes of the nonzero 64-bit words.
+  std::vector<uint32_t> pending_;
+  std::vector<uint32_t> term_counts_;
+  std::vector<uint64_t> present_;
+  std::vector<uint32_t> touched_;
 };
 
 }  // namespace newsdiff::corpus

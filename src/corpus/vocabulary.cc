@@ -5,7 +5,7 @@
 namespace newsdiff::corpus {
 
 uint32_t Vocabulary::GetOrAdd(std::string_view term) {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   if (it != index_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(terms_.size());
   terms_.emplace_back(term);
@@ -16,7 +16,7 @@ uint32_t Vocabulary::GetOrAdd(std::string_view term) {
 }
 
 uint32_t Vocabulary::Get(std::string_view term) const {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   return it == index_.end() ? kUnknownTerm : it->second;
 }
 

@@ -2,6 +2,7 @@
 #define NEWSDIFF_CORPUS_VOCABULARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -11,6 +12,20 @@ namespace newsdiff::corpus {
 
 /// Sentinel for "term not in vocabulary".
 constexpr uint32_t kUnknownTerm = 0xFFFFFFFFu;
+
+/// Hashes a term given as a std::string or a std::string_view alike, so a
+/// TermIds lookup by view builds no temporary string.
+struct TermHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view term) const {
+    return std::hash<std::string_view>{}(term);
+  }
+};
+
+/// Term -> id, looked up by view. Keys own their bytes: a view into another
+/// container of strings would dangle when that container reallocates.
+using TermIds =
+    std::unordered_map<std::string, uint32_t, TermHash, std::equal_to<>>;
 
 /// A bidirectional term <-> id mapping with document frequencies.
 /// Ids are dense [0, size()).
@@ -40,7 +55,7 @@ class Vocabulary {
   void AddTermFreq(uint32_t id, uint64_t n) { term_freq_[id] += n; }
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
+  TermIds index_;
   std::vector<std::string> terms_;
   std::vector<uint32_t> doc_freq_;
   std::vector<uint64_t> term_freq_;

@@ -107,7 +107,7 @@ StatusOr<InvertedIndex> InvertedIndex::Build(const corpus::Corpus& corpus,
 }
 
 uint32_t InvertedIndex::TermId(std::string_view term) const {
-  auto it = term_ids_.find(std::string(term));
+  auto it = term_ids_.find(term);
   return it == term_ids_.end() ? corpus::kUnknownTerm : it->second;
 }
 

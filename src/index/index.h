@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/file_io.h"
@@ -103,7 +102,7 @@ class InvertedIndex {
   Bm25 bm25_;
   size_t block_size_ = 128;
   std::vector<std::string> terms_;  // id order
-  std::unordered_map<std::string, uint32_t> term_ids_;
+  corpus::TermIds term_ids_;
   std::vector<PostingList> postings_;  // parallel to terms_
   std::vector<DocInfo> docs_;
 };

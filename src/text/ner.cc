@@ -1,28 +1,25 @@
 #include "text/ner.h"
 
-#include <cctype>
-
 #include "common/strings.h"
 #include "text/stopwords.h"
+#include "text/tokenizer.h"
 
 namespace newsdiff::text {
 namespace {
 
 struct RawToken {
-  std::string word;
-  size_t begin;   // byte offset in input
-  size_t end;     // one past last byte
+  std::string_view word;  // view into the input
   bool sentence_start;
 };
 
-bool IsCapitalized(const std::string& w) {
-  return !w.empty() && std::isupper(static_cast<unsigned char>(w[0]));
+bool IsCapitalized(std::string_view w) {
+  return !w.empty() && ascii::Is(w[0], ascii::kUpper);
 }
 
-bool AllUpper(const std::string& w) {
+bool AllUpper(std::string_view w) {
   if (w.empty()) return false;
   for (char c : w) {
-    if (std::islower(static_cast<unsigned char>(c))) return false;
+    if (ascii::Is(c, ascii::kLower)) return false;
   }
   return true;
 }
@@ -33,15 +30,14 @@ std::vector<RawToken> Scan(std::string_view input) {
   size_t i = 0;
   bool sentence_start = true;
   while (i < n) {
-    unsigned char c = static_cast<unsigned char>(input[i]);
-    if (std::isalpha(c)) {
+    const char c = input[i];
+    if (ascii::Is(c, ascii::kAlpha)) {
       size_t start = i;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(input[i])) ||
-                       input[i] == '\'')) {
+      while (i < n &&
+             (ascii::Is(input[i], ascii::kAlnum) || input[i] == '\'')) {
         ++i;
       }
-      tokens.push_back({std::string(input.substr(start, i - start)), start, i,
-                        sentence_start});
+      tokens.push_back({input.substr(start, i - start), sentence_start});
       sentence_start = false;
     } else {
       if (c == '.' || c == '!' || c == '?') sentence_start = true;
@@ -105,8 +101,8 @@ std::vector<Entity> ExtractEntities(std::string_view input) {
     }
     Entity e;
     e.concept_token = Join(parts, "_");
-    e.surface = std::string(
-        input.substr(tokens[i].begin, tokens[last_cap].end - tokens[i].begin));
+    const std::string_view last = tokens[last_cap].word;
+    e.surface.assign(tokens[i].word.data(), last.data() + last.size());
     entities.push_back(std::move(e));
     i = last_cap + 1;
   }

@@ -1,101 +1,88 @@
 #include "text/pipeline.h"
 
-#include <cctype>
-
 #include "text/lemmatizer.h"
 #include "text/ner.h"
 #include "text/stopwords.h"
-#include "text/tokenizer.h"
 
 namespace newsdiff::text {
 namespace {
 
-// Removes URLs, @mentions, and hashtag markers from tweet text.
-std::string CleanTweet(std::string_view input) {
-  std::string out;
-  out.reserve(input.size());
-  size_t i = 0;
+bool StartsUrl(std::string_view s) {
+  return s.starts_with("http://") || s.starts_with("https://") ||
+         s.starts_with("www.");
+}
+
+// Writes `input` to `out` with each URL (http://, https:// or www. up to
+// whitespace) and @mention replaced by one space, and with the '#' of
+// hashtags removed. "www." matches mid-word and a removed '#' joins its
+// neighbours: both are the recipe's behaviour, kept byte for byte.
+std::string_view CleanTweet(std::string_view input, std::string* out) {
   const size_t n = input.size();
+  // No rewrite is longer than what it replaces.
+  if (out->size() < n) out->resize(n);
+  char* const o = out->data();
+  size_t len = 0;
+  size_t i = 0;
   while (i < n) {
-    // URL: http:// or https:// up to whitespace.
-    if ((input.substr(i, 7) == "http://") ||
-        (input.substr(i, 8) == "https://") ||
-        (input.substr(i, 4) == "www.")) {
-      while (i < n && !std::isspace(static_cast<unsigned char>(input[i]))) {
-        ++i;
-      }
-      out += ' ';
-      continue;
-    }
-    char c = input[i];
-    if (c == '@') {
-      // Drop the whole mention.
+    const char c = input[i];
+    if ((c == 'h' || c == 'w') && StartsUrl(input.substr(i))) {
+      while (i < n && !ascii::Is(input[i], ascii::kSpace)) ++i;
+      o[len++] = ' ';
+    } else if (c == '@') {
       ++i;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(input[i])) ||
-                       input[i] == '_')) {
-        ++i;
-      }
-      out += ' ';
-      continue;
+      while (i < n && ascii::Is(input[i], ascii::kWord)) ++i;
+      o[len++] = ' ';
+    } else {
+      if (c != '#') o[len++] = c;
+      ++i;
     }
-    if (c == '#') {
-      ++i;  // keep the tag word, drop the marker
-      continue;
-    }
-    out += c;
-    ++i;
   }
-  return out;
+  return std::string_view(o, len);
 }
 
 }  // namespace
 
-std::vector<std::string> PreprocessNewsTM(std::string_view input) {
-  // 1. Fold named entities into single concept tokens.
-  std::string folded = FoldEntities(input);
-  // 2. Tokenize (removes punctuation, lowercases).
-  TokenizerOptions opts;
-  opts.min_length = 2;
-  opts.keep_numbers = true;
-  std::vector<std::string> tokens = Tokenize(folded, opts);
-  // 3. Lemmatize and drop stopwords.
-  std::vector<std::string> out;
-  out.reserve(tokens.size());
-  for (const std::string& t : tokens) {
-    if (IsStopword(t)) continue;
-    // Concept tokens (contain '_') are kept verbatim.
-    std::string lemma =
-        t.find('_') == std::string::npos ? Lemmatize(t) : t;
-    if (IsStopword(lemma)) continue;
-    out.push_back(std::move(lemma));
+std::string_view RecipeScanner::Prepare(std::string_view input) {
+  switch (kind_) {
+    case PipelineKind::kNewsTM:
+      text_ = FoldEntities(input);
+      return text_;
+    case PipelineKind::kTwitterED:
+      return CleanTweet(input, &text_);
+    case PipelineKind::kNewsED:
+      break;
   }
-  return out;
+  return input;
 }
 
-std::vector<std::string> PreprocessNewsED(std::string_view input) {
-  TokenizerOptions opts;
-  opts.min_length = 2;
-  return Tokenize(input, opts);
-}
-
-std::vector<std::string> PreprocessTwitterED(std::string_view input) {
-  std::string cleaned = CleanTweet(input);
-  TokenizerOptions opts;
-  opts.min_length = 2;
-  return Tokenize(cleaned, opts);
+std::optional<std::string_view> RecipeScanner::NewsTMTerm(
+    std::string_view token) {
+  if (IsStopword(token)) return std::nullopt;
+  // Concept tokens (contain '_') are kept verbatim.
+  if (token.find('_') != std::string_view::npos) return token;
+  lemma_ = Lemmatize(token);
+  if (IsStopword(lemma_)) return std::nullopt;
+  return lemma_;
 }
 
 std::vector<std::string> Preprocess(std::string_view input,
                                     PipelineKind kind) {
-  switch (kind) {
-    case PipelineKind::kNewsTM:
-      return PreprocessNewsTM(input);
-    case PipelineKind::kNewsED:
-      return PreprocessNewsED(input);
-    case PipelineKind::kTwitterED:
-      return PreprocessTwitterED(input);
-  }
-  return {};
+  std::vector<std::string> tokens;
+  RecipeScanner(kind).Scan(
+      input, [&](std::string_view token) { tokens.emplace_back(token); });
+  return tokens;
+}
+
+std::vector<std::string> PreprocessNewsTM(std::string_view input) {
+  return Preprocess(input, PipelineKind::kNewsTM);
+}
+
+std::vector<std::string> PreprocessNewsED(std::string_view input) {
+  return Preprocess(input, PipelineKind::kNewsED);
+}
+
+std::vector<std::string> PreprocessTwitterED(std::string_view input) {
+  return Preprocess(input, PipelineKind::kTwitterED);
 }
 
 }  // namespace newsdiff::text

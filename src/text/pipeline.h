@@ -1,9 +1,12 @@
 #ifndef NEWSDIFF_TEXT_PIPELINE_H_
 #define NEWSDIFF_TEXT_PIPELINE_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "text/tokenizer.h"
 
 namespace newsdiff::text {
 
@@ -18,6 +21,46 @@ enum class PipelineKind {
   /// TwitterED: same minimal recipe applied to tweets; additionally strips
   /// URLs, @mentions, and the '#' of hashtags (keeping the tag word).
   kTwitterED,
+};
+
+/// Streams one recipe's tokens to a callback. Its buffers are reused from
+/// one input to the next, so a corpus build allocates nothing per token.
+class RecipeScanner {
+ public:
+  explicit RecipeScanner(PipelineKind kind) : kind_(kind) {}
+
+  /// Calls `emit(std::string_view)` once per token of `input`, in order:
+  /// the tokens Preprocess(input, kind) returns. A view is valid only until
+  /// `emit` returns.
+  template <typename Emit>
+  void Scan(std::string_view input, Emit&& emit) {
+    const std::string_view text = Prepare(input);
+    if (kind_ != PipelineKind::kNewsTM) {
+      ForEachToken(text, kOptions, &token_, emit);
+      return;
+    }
+    ForEachToken(text, kOptions, &token_, [&](std::string_view token) {
+      if (const std::optional<std::string_view> term = NewsTMTerm(token)) {
+        emit(*term);
+      }
+    });
+  }
+
+ private:
+  // Every recipe drops tokens shorter than two bytes.
+  static constexpr TokenizerOptions kOptions = {.min_length = 2};
+
+  // The text the tokenizer sees: the tweet without URLs, mentions and '#'
+  // (TwitterED), the input with its entities folded (NewsTM), or the input.
+  std::string_view Prepare(std::string_view input);
+  // NewsTM's term for `token`: the token itself if it is a concept, else
+  // its lemma; nothing when the token or its lemma is a stopword.
+  std::optional<std::string_view> NewsTMTerm(std::string_view token);
+
+  PipelineKind kind_;
+  std::string text_;
+  std::string token_;
+  std::string lemma_;
 };
 
 /// Applies the selected recipe to raw text and returns the token stream.

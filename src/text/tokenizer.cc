@@ -3,63 +3,13 @@
 #include <cctype>
 
 namespace newsdiff::text {
-namespace {
-
-inline bool IsWordChar(unsigned char c) {
-  return std::isalnum(c) || c == '_';
-}
-
-}  // namespace
 
 std::vector<std::string> Tokenize(std::string_view input,
                                   const TokenizerOptions& options) {
   std::vector<std::string> tokens;
-  std::string cur;
-  const size_t n = input.size();
-  auto flush = [&]() {
-    if (cur.empty()) return;
-    if (cur.size() >= options.min_length) {
-      bool numeric = true;
-      for (char c : cur) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          numeric = false;
-          break;
-        }
-      }
-      if (!numeric || options.keep_numbers) tokens.push_back(cur);
-    }
-    cur.clear();
-  };
-  for (size_t i = 0; i < n; ++i) {
-    unsigned char c = static_cast<unsigned char>(input[i]);
-    if (IsWordChar(c)) {
-      cur += options.lowercase
-                 ? static_cast<char>(std::tolower(c))
-                 : static_cast<char>(c);
-    } else if (options.keep_apostrophes && (c == '\'' || c == 0xE2) &&
-               !cur.empty()) {
-      // Plain ASCII apostrophe inside a word; also tolerate the first byte
-      // of a UTF-8 right single quote (U+2019: E2 80 99) by consuming the
-      // 3-byte sequence when it appears mid-word.
-      if (c == 0xE2) {
-        if (i + 2 < n && static_cast<unsigned char>(input[i + 1]) == 0x80 &&
-            static_cast<unsigned char>(input[i + 2]) == 0x99 && i + 3 < n &&
-            IsWordChar(static_cast<unsigned char>(input[i + 3]))) {
-          cur += '\'';
-          i += 2;
-        } else {
-          flush();
-        }
-      } else if (i + 1 < n && IsWordChar(static_cast<unsigned char>(input[i + 1]))) {
-        cur += '\'';
-      } else {
-        flush();
-      }
-    } else {
-      flush();
-    }
-  }
-  flush();
+  std::string scratch;
+  ForEachToken(input, options, &scratch,
+               [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 

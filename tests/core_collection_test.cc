@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "core/preprocess.h"
 #include "datagen/world.h"
+#include "index/codec.h"
 
 namespace newsdiff::core {
 namespace {
@@ -114,6 +117,133 @@ TEST(PreprocessTest, CorporaAlignWithRecords) {
   EXPECT_NE(news_ed.vocabulary().Get("again"), corpus::kUnknownTerm);
   // TwitterED kept the hashtag word.
   EXPECT_NE(twitter_ed.vocabulary().Get("brexit"), corpus::kUnknownTerm);
+}
+
+// A canonical byte serialization of everything a corpus holds: its terms in
+// id order with their doc_freq and term_freq, then each document's external
+// id, timestamp, length, token ids and bag of counts.
+std::string Canonical(const corpus::Corpus& corp) {
+  std::string out;
+  const corpus::Vocabulary& vocab = corp.vocabulary();
+  index::PutU64(&out, vocab.size());
+  for (uint32_t t = 0; t < vocab.size(); ++t) {
+    index::PutLengthPrefixed(&out, vocab.Term(t));
+    index::PutU32(&out, vocab.doc_freq(t));
+    index::PutU64(&out, vocab.term_freq(t));
+  }
+  index::PutU64(&out, corp.size());
+  index::PutU64(&out, corp.total_tokens());
+  for (const corpus::Document& doc : corp.docs()) {
+    index::PutU64(&out, static_cast<uint64_t>(doc.external_id));
+    index::PutU64(&out, static_cast<uint64_t>(doc.timestamp));
+    index::PutU32(&out, doc.length);
+    index::PutU32(&out, static_cast<uint32_t>(doc.tokens.size()));
+    for (uint32_t t : doc.tokens) index::PutU32(&out, t);
+    index::PutU32(&out, static_cast<uint32_t>(doc.counts.size()));
+    for (const corpus::TermCount& tc : doc.counts) {
+      index::PutU32(&out, tc.term);
+      index::PutU32(&out, tc.count);
+    }
+  }
+  return out;
+}
+
+struct CorpusCrcs {
+  uint32_t news_tm;
+  uint32_t news_ed;
+  uint32_t twitter_ed;
+};
+
+CorpusCrcs CrcsOf(const std::vector<NewsRecord>& news,
+                  const std::vector<TweetRecord>& tweets) {
+  return {Crc32(Canonical(BuildNewsTM(news))),
+          Crc32(Canonical(BuildNewsED(news))),
+          Crc32(Canonical(BuildTwitterED(tweets)))};
+}
+
+// The three corpora of a seeded datagen world, read back through the store
+// as BuildIndex and the pipeline read them.
+CorpusCrcs WorldCrcs(uint64_t seed, size_t articles, size_t tweets) {
+  datagen::WorldOptions opts;
+  opts.seed = seed;
+  opts.num_users = 80;
+  opts.num_articles = articles;
+  opts.num_tweets = tweets;
+  store::Database db;
+  datagen::GenerateWorld(opts).LoadInto(db);
+  StatusOr<std::vector<NewsRecord>> news = LoadNews(db);
+  StatusOr<std::vector<TweetRecord>> loaded = LoadTweets(db);
+  EXPECT_TRUE(news.ok() && loaded.ok());
+  if (!news.ok() || !loaded.ok()) return {};
+  return CrcsOf(*news, *loaded);
+}
+
+// Seeded records built from the inputs the recipes treat specially: names
+// (entity folding across title and body), URLs (including "www." inside a
+// word), mentions, hashtags, apostrophes (ASCII, U+2019 and its truncated
+// prefixes), concept underscores, numbers, inflections and bytes >= 0x80.
+CorpusCrcs HostileCrcs(uint64_t seed) {
+  static const char* const kPieces[] = {
+      "Theresa", "May",  "the", "of", "New", "York", "House", "Commons",
+      "NASA", "US", "A", "I", "It", "don't", "don\xE2\x80\x99t", "'",
+      "\xE2\x80\x99", "\xE2\x80", "\xE2", "O'Neil", "dogs'", "_",
+      "new_york", "http://x.co/a?b=1", "https://t.co/Zq", "www.ex.com",
+      "awww.z", "@user_1", "@", "#", "#Brexit", "a#b", "2019", "25", "1,500",
+      "Running", "parties", "tried", "stopped", "making", "votes", "were",
+      "\xC3\xA9t\xC3\xA9", "caf\xC3\xA9", "\xFF", "\x80", ".", "!", "?",
+      ",", "--", "(", ")"};
+  static const char* const kGaps[] = {" ", " ", " ", "", "\t", "\n", ". ",
+                                      ", "};
+  Rng rng(seed);
+  auto text = [&](size_t min_pieces, size_t max_pieces) {
+    std::string out;
+    const size_t n = min_pieces + rng.NextBelow(max_pieces - min_pieces + 1);
+    for (size_t i = 0; i < n; ++i) {
+      out += kPieces[rng.NextBelow(std::size(kPieces))];
+      if (i + 1 < n) out += kGaps[rng.NextBelow(std::size(kGaps))];
+    }
+    return out;
+  };
+  std::vector<NewsRecord> news(150);
+  for (size_t i = 0; i < news.size(); ++i) {
+    news[i].id = static_cast<int64_t>(i);
+    news[i].title = text(0, 8);
+    news[i].body = text(0, 60);
+    news[i].published = static_cast<UnixSeconds>(1000 + 60 * i);
+  }
+  std::vector<TweetRecord> tweets(400);
+  for (size_t i = 0; i < tweets.size(); ++i) {
+    tweets[i].id = static_cast<int64_t>(1000 + i);
+    tweets[i].text = text(0, 25);
+    tweets[i].created = static_cast<UnixSeconds>(2000 + 30 * i);
+  }
+  return CrcsOf(news, tweets);
+}
+
+// The exactness gate of the streaming text front end: every corpus is
+// byte-for-byte the one the char-by-char tokenizer and per-token string
+// vectors built before it (same term ids in first-seen order, tokens,
+// counts, doc_freq and term_freq). The CRCs were computed with that code.
+TEST(PreprocessTest, CorporaAreBitwiseStable) {
+  struct Case {
+    const char* name;
+    CorpusCrcs got;
+    CorpusCrcs want;
+  };
+  const Case cases[] = {
+      {"world seed 7", WorldCrcs(7, 120, 400),
+       {0x59d9e0c4, 0x358fda08, 0x59294430}},
+      {"world seed 2021", WorldCrcs(2021, 300, 900),
+       {0x4216d923, 0x2ec270ca, 0xecf73100}},
+      {"hostile seed 11", HostileCrcs(11),
+       {0x25f965cb, 0xf1d76f5c, 0x766d70af}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(Crc32Hex(c.got.news_tm), Crc32Hex(c.want.news_tm));
+    EXPECT_EQ(Crc32Hex(c.got.news_ed), Crc32Hex(c.want.news_ed));
+    EXPECT_EQ(Crc32Hex(c.got.twitter_ed), Crc32Hex(c.want.twitter_ed));
+  }
 }
 
 TEST(RoundTripTest, WorldThroughStoreAndBack) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "corpus/weighting.h"
 
 namespace newsdiff::corpus {
@@ -22,6 +24,40 @@ TEST(VocabularyTest, GetMissingReturnsSentinel) {
   EXPECT_EQ(v.Get("nope"), kUnknownTerm);
   v.GetOrAdd("yes");
   EXPECT_EQ(v.Get("yes"), 0u);
+}
+
+// Terms arrive as views into one buffer that the next term overwrites, so
+// the vocabulary must own copies of its keys. Short terms live inside the
+// std::string object (small-string storage) and long ones on the heap; the
+// terms_ vector reallocates many times on the way to 6000 terms.
+TEST(VocabularyTest, IdsAndTermsHoldAcrossGrowthFromReusedBuffer) {
+  auto term = [](size_t i) {
+    std::string t = "t" + std::to_string(i);
+    if (i % 3 == 0) t += std::string(40 + i % 7, 'x');
+    return t;
+  };
+  char buffer[64];
+  auto view_of = [&](const std::string& t) {
+    std::memset(buffer, '?', sizeof(buffer));
+    std::memcpy(buffer, t.data(), t.size());
+    return std::string_view(buffer, t.size());
+  };
+  constexpr size_t kTerms = 6000;
+  Vocabulary v;
+  for (size_t i = 0; i < kTerms; ++i) {
+    ASSERT_EQ(v.GetOrAdd(view_of(term(i))), i);
+    // Every earlier term is still found, by its bytes, through the buffer.
+    const size_t earlier = i / 2;
+    ASSERT_EQ(v.Get(view_of(term(earlier))), earlier);
+    ASSERT_EQ(v.GetOrAdd(view_of(term(earlier))), earlier);
+  }
+  ASSERT_EQ(v.size(), kTerms);
+  for (size_t i = 0; i < kTerms; ++i) {
+    EXPECT_EQ(v.Term(static_cast<uint32_t>(i)), term(i));
+    EXPECT_EQ(v.Get(view_of(term(i))), i);
+  }
+  EXPECT_EQ(v.Get(view_of("t")), kUnknownTerm);
+  EXPECT_EQ(v.Get(std::string_view(buffer, 2)), kUnknownTerm);
 }
 
 TEST(CorpusTest, AddDocumentBuildsCountsAndFrequencies) {
