@@ -11,38 +11,6 @@
 
 namespace newsdiff {
 
-/// Selects the implementation of the la/ compute kernels (dense GEMMs and
-/// the CSR·dense products). Lives here, next to Parallelism, because the
-/// two travel together through every stage config.
-enum class KernelKind : uint8_t {
-  /// Cache-blocked, register-tiled kernels (la/kernels.cc): panels of the
-  /// operands are packed into scratch buffers and consumed by a fixed
-  /// micro-kernel. Block traversal is a pure function of (shape, block
-  /// sizes), so results are run-to-run and thread-count deterministic —
-  /// but the accumulation grouping differs from the naive loops, so
-  /// outputs match kNaive only to ~1e-9 relative, not bitwise.
-  kBlocked,
-  /// The original scalar loops, kept as a fallback. Bitwise identical to
-  /// the pre-kernel-layer (seed) outputs on every platform.
-  kNaive,
-};
-
-/// Kernel-layer configuration: which kernels run and how they block.
-/// Defaults are tuned for a 32K L1 / 256K+ L2 core; the determinism
-/// contract holds for ANY block sizes (they fix the traversal, threads
-/// never do).
-struct KernelConfig {
-  KernelKind kind = KernelKind::kBlocked;
-  /// Rows of the left operand per L2-resident block (rounded up to the
-  /// micro-kernel height internally).
-  size_t mc = 64;
-  /// Depth (k extent) of one packed panel.
-  size_t kc = 256;
-  /// Columns of the right operand per packed panel (rounded up to the
-  /// micro-kernel width internally).
-  size_t nc = 128;
-};
-
 /// Execution configuration for the parallel primitives, threaded through
 /// every stage that has a parallelized hot loop (core/pipeline fans it out).
 ///
@@ -68,10 +36,6 @@ struct Parallelism {
   /// semantics) and to kDefaultShards otherwise — a constant, so results
   /// do not vary with the machine's core count.
   size_t shards = 0;
-  /// Kernel selection for the la/ products invoked under this config.
-  /// Rides along with the thread/shard knobs so one struct configures a
-  /// stage's execution completely.
-  KernelConfig kernels = {};
 
   bool serial() const { return threads <= 1; }
 };

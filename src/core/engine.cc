@@ -25,22 +25,10 @@ core::PipelineOptions EngineOptions::PipelineView() const {
   return view;
 }
 
-core::PredictorOptions EngineOptions::PredictorView() const {
-  core::PredictorOptions view = predictor;
-  view.parallelism = parallelism;
-  return view;
-}
-
-core::SupervisorOptions EngineOptions::SupervisorView() const {
-  return supervisor;
-}
-
 serve::ServingOptions EngineOptions::ServingView() const {
   serve::ServingOptions view = serving;
   view.model.parallelism = parallelism;
-  // The serving model classifies into the predictor's class space: the
-  // Table-2 likes classes the tweets index carries as labels.
-  view.model.num_classes = std::max<size_t>(predictor.num_classes, 1);
+  view.model.num_classes = std::max<size_t>(view.model.num_classes, 1);
   return view;
 }
 
@@ -55,7 +43,7 @@ std::string EngineOptions::IndexDir() const {
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
       supervisor_(core::Pipeline(options_.PipelineView()),
-                  options_.SupervisorView()),
+                  options_.supervisor),
       serving_(std::make_shared<const ServingData>()),
       inference_(std::make_unique<serve::InferenceServer>([this] {
         // Aliasing: the handle keeps the whole generation alive.

@@ -13,7 +13,6 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "core/pipeline.h"
-#include "core/predictor.h"
 #include "core/supervisor.h"
 #include "index/index.h"
 #include "la/matrix.h"
@@ -22,27 +21,21 @@
 
 namespace newsdiff {
 
-/// The one configuration aggregate for the public Engine API. Before this
-/// existed, callers assembled Parallelism, KernelConfig, PipelineOptions,
-/// PredictorOptions, and the supervisor's snapshot/WAL/lease knobs by hand
-/// and had to keep the embedded copies consistent themselves. EngineOptions
-/// owns the authoritative copy of each and hands the per-module views out
-/// itself: set `parallelism` once here and every module view carries it.
+/// The one configuration aggregate for the public Engine API: the pipeline,
+/// the supervisor's snapshot/WAL/lease knobs, the index and the serving
+/// model. It holds only what the Engine reads, and hands the per-module
+/// views out itself: set `parallelism` once here and every view carries it.
 struct EngineOptions {
-  /// Execution parallelism for every compute path — pipeline stages, the
-  /// blocked GEMM kernels (via the embedded KernelConfig), and predictor
-  /// training. This field is authoritative: the copies inside `pipeline`
-  /// and `predictor` are overwritten by the view accessors.
+  /// Execution parallelism for every compute path — pipeline stages and
+  /// serving-model training. This field is authoritative: the copies
+  /// inside `pipeline` and `serving.model` are overwritten by the views.
   Parallelism parallelism;
 
   /// Analysis-pipeline stage configuration (thresholds, slice widths).
   core::PipelineOptions pipeline;
 
-  /// Interest-predictor training regime (§5.6 networks).
-  core::PredictorOptions predictor;
-
-  /// Durability: snapshot directory, WAL, writer lease. The supervisor view
-  /// is handed to PipelineSupervisor unchanged.
+  /// Durability: snapshot directory, WAL, writer lease. Handed to
+  /// PipelineSupervisor unchanged.
   core::SupervisorOptions supervisor;
 
   /// Inverted-index build parameters (block size, BM25 k1/b).
@@ -62,14 +55,14 @@ struct EngineOptions {
 
   /// Model serving: PredictInterest reranks retrieved candidates through
   /// a small MLP, trained per serving generation over hashed features of
-  /// its tweets index and scored on the caller's thread.
+  /// its tweets index and scored on the caller's thread. Its
+  /// `model.num_classes` is the class space answers are given in: the
+  /// Table-2 likes classes the tweets index carries as labels.
   serve::ServingOptions serving;
 
   /// Per-module views: the aggregate copied down with the authoritative
   /// `parallelism` substituted in.
   core::PipelineOptions PipelineView() const;
-  core::PredictorOptions PredictorView() const;
-  core::SupervisorOptions SupervisorView() const;
   serve::ServingOptions ServingView() const;
   /// Resolved index directory (may be empty: in-memory only).
   std::string IndexDir() const;

@@ -51,8 +51,7 @@ struct PredictorOptions {
   double sgd_momentum = 0.0;
   double adadelta_learning_rate = 2.0;
   /// Execution parallelism forwarded to nn::FitOptions (see the determinism
-  /// notes there — trained weights do not depend on `threads`). Also carries
-  /// the KernelConfig selecting the blocked or naive GEMM kernels.
+  /// notes there — trained weights do not depend on `threads`).
   Parallelism parallelism;
   /// Coarse-grain parallelism for CrossValidate: whole folds run as tasks
   /// on the shared pool. Folds are fully seed-isolated (each derives its

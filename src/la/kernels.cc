@@ -5,12 +5,13 @@
 // panels stream linearly from L1/L2.
 //
 // Determinism: the traversal (block boundaries, packing layout, per-element
-// accumulation chain) is a pure function of (shape, KernelConfig block
-// sizes). Thread and shard counts only decide WHICH thread computes a row
-// block, never the arithmetic inside it, so outputs are bitwise identical
-// across runs and parallel configurations on a given binary. (Cross-binary
-// reproducibility is the naive kernels' job — they are compiled with the
-// tree-wide flags and never fuse multiplies and adds.)
+// accumulation chain) is a pure function of the shape, because the block
+// sizes below are constants. Thread and shard counts only decide WHICH
+// thread computes a row block, never the arithmetic inside it, so outputs
+// are bitwise identical across runs and parallel configurations on a given
+// binary. (Cross-binary reproducibility is the naive reference loops' job —
+// they are compiled with the tree-wide flags and never fuse multiplies and
+// adds.)
 #include "la/kernels.h"
 
 #include <algorithm>
@@ -27,9 +28,16 @@ namespace {
 constexpr size_t kMr = 4;
 constexpr size_t kNr = 8;
 
-size_t RoundUp(size_t n, size_t multiple) {
-  return (n + multiple - 1) / multiple * multiple;
-}
+/// Block sizes, sized for a 32K L1 / 256K+ L2 core: a kKc x kNr strip of
+/// packed B (16 KiB) stays in L1 while the micro-kernel sweeps it, and the
+/// kMc x kKc packed A block (128 KiB) stays in L2. They fix every output
+/// element's accumulation chain: another value gives other results, still
+/// within ~1e-9 of the naive loops.
+constexpr size_t kMc = 64;   // rows of A per L2-resident block
+constexpr size_t kKc = 256;  // depth of one packed panel
+constexpr size_t kNc = 128;  // columns of B per packed panel
+static_assert(kMc % kMr == 0 && kNc % kNr == 0,
+              "blocks must hold whole micro-tiles");
 
 /// C[0..mr)x[0..nr) += packA(kc x kMr strips) * packB(kc x kNr strips).
 /// The accumulator tile lives in registers for the whole kc loop; the
@@ -103,25 +111,25 @@ void PackA(double* dst, size_t mc, size_t kc, Load load) {
 /// the panel's provenance — and shards never share a written cache line;
 /// C row blocks are disjoint.
 template <typename LoadA, typename GetPanel>
-void BlockedGemmPanels(size_t n, size_t k, size_t m, size_t mc, size_t kc,
-                       size_t nc, Matrix* out, const Parallelism& par,
-                       LoadA load_a, GetPanel get_panel) {
+void BlockedGemmPanels(size_t n, size_t k, size_t m, Matrix* out,
+                       const Parallelism& par, LoadA load_a,
+                       GetPanel get_panel) {
   out->Resize(n, m);
   if (n == 0 || k == 0 || m == 0) return;
-  const size_t row_blocks = (n + mc - 1) / mc;
+  const size_t row_blocks = (n + kMc - 1) / kMc;
 
-  for (size_t jc = 0; jc < m; jc += nc) {
-    const size_t nc_eff = std::min(nc, m - jc);
-    for (size_t pc = 0; pc < k; pc += kc) {
-      const size_t kc_eff = std::min(kc, k - pc);
+  for (size_t jc = 0; jc < m; jc += kNc) {
+    const size_t nc_eff = std::min(kNc, m - jc);
+    for (size_t pc = 0; pc < k; pc += kKc) {
+      const size_t kc_eff = std::min(kKc, k - pc);
       const double* packb = get_panel(jc, pc, kc_eff, nc_eff);
       ParallelFor(par, row_blocks,
                   [&](size_t, size_t blk_begin, size_t blk_end) {
         if (blk_begin == blk_end) return;
-        ArenaBuffer packa = Arena::ThreadLocal().Acquire(mc * kc);
+        ArenaBuffer packa = Arena::ThreadLocal().Acquire(kMc * kKc);
         for (size_t blk = blk_begin; blk < blk_end; ++blk) {
-          const size_t ic = blk * mc;
-          const size_t mc_eff = std::min(mc, n - ic);
+          const size_t ic = blk * kMc;
+          const size_t mc_eff = std::min(kMc, n - ic);
           PackA(packa.data(), mc_eff, kc_eff,
                 [&](size_t i, size_t p) { return load_a(ic + i, pc + p); });
           for (size_t js = 0; js < nc_eff; js += kNr) {
@@ -146,15 +154,10 @@ void BlockedGemmPanels(size_t n, size_t k, size_t m, size_t mc, size_t kc,
 template <typename LoadA, typename LoadB>
 void BlockedGemm(size_t n, size_t k, size_t m, Matrix* out,
                  const Parallelism& par, LoadA load_a, LoadB load_b) {
-  const KernelConfig& cfg = par.kernels;
-  const size_t mc = std::max<size_t>(RoundUp(cfg.mc, kMr), kMr);
-  const size_t kc = std::max<size_t>(cfg.kc, 1);
-  const size_t nc = std::max<size_t>(RoundUp(cfg.nc, kNr), kNr);
-
   Arena& caller_arena = Arena::ThreadLocal();
-  ArenaBuffer packb = caller_arena.Acquire(kc * nc);
+  ArenaBuffer packb = caller_arena.Acquire(kKc * kNc);
   BlockedGemmPanels(
-      n, k, m, mc, kc, nc, out, par, load_a,
+      n, k, m, out, par, load_a,
       [&](size_t jc, size_t pc, size_t kc_eff, size_t nc_eff) {
         PackB(packb.data(), kc_eff, nc_eff,
               [&](size_t p, size_t j) { return load_b(pc + p, jc + j); });
@@ -164,32 +167,30 @@ void BlockedGemm(size_t n, size_t k, size_t m, Matrix* out,
 
 }  // namespace
 
-PackedB PackMatrixB(const Matrix& b, const KernelConfig& cfg) {
+PackedB PackMatrixB(const Matrix& b) {
   PackedB packed;
   packed.k = b.rows();
   packed.m = b.cols();
-  packed.kc = std::max<size_t>(cfg.kc, 1);
-  packed.nc = std::max<size_t>(RoundUp(cfg.nc, kNr), kNr);
   const size_t k = packed.k;
   const size_t m = packed.m;
   if (k == 0 || m == 0) return packed;
 
   size_t total = 0;
-  for (size_t jc = 0; jc < m; jc += packed.nc) {
-    const size_t nc_eff = std::min(packed.nc, m - jc);
+  for (size_t jc = 0; jc < m; jc += kNc) {
+    const size_t nc_eff = std::min(kNc, m - jc);
     const size_t strips = (nc_eff + kNr - 1) / kNr;
-    for (size_t pc = 0; pc < k; pc += packed.kc) {
-      const size_t kc_eff = std::min(packed.kc, k - pc);
+    for (size_t pc = 0; pc < k; pc += kKc) {
+      const size_t kc_eff = std::min(kKc, k - pc);
       packed.panel_offset.push_back(total);
       total += strips * kc_eff * kNr;
     }
   }
   packed.data.resize(total);
   size_t idx = 0;
-  for (size_t jc = 0; jc < m; jc += packed.nc) {
-    const size_t nc_eff = std::min(packed.nc, m - jc);
-    for (size_t pc = 0; pc < k; pc += packed.kc) {
-      const size_t kc_eff = std::min(packed.kc, k - pc);
+  for (size_t jc = 0; jc < m; jc += kNc) {
+    const size_t nc_eff = std::min(kNc, m - jc);
+    for (size_t pc = 0; pc < k; pc += kKc) {
+      const size_t kc_eff = std::min(kKc, k - pc);
       const size_t pc0 = pc;
       const size_t jc0 = jc;
       PackB(packed.data.data() + packed.panel_offset[idx++], kc_eff, nc_eff,
@@ -235,15 +236,12 @@ void BlockedMatMulPrepacked(const Matrix& a, const PackedB& b, Matrix* out,
                             const Parallelism& par) {
   assert(a.cols() == b.k);
   assert(out != &a);
-  const size_t kc = std::max<size_t>(b.kc, 1);
-  const size_t nc = std::max<size_t>(b.nc, kNr);
-  const size_t mc = std::max<size_t>(RoundUp(par.kernels.mc, kMr), kMr);
-  const size_t num_pc = (b.k + kc - 1) / kc;
+  const size_t num_pc = (b.k + kKc - 1) / kKc;
   BlockedGemmPanels(
-      a.rows(), b.k, b.m, mc, kc, nc, out, par,
+      a.rows(), b.k, b.m, out, par,
       [&](size_t i, size_t p) { return a.RowPtr(i)[p]; },
       [&](size_t jc, size_t pc, size_t, size_t) {
-        return b.data.data() + b.panel_offset[(jc / nc) * num_pc + pc / kc];
+        return b.data.data() + b.panel_offset[(jc / kNc) * num_pc + pc / kKc];
       });
 }
 

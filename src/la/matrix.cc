@@ -147,13 +147,15 @@ std::string Matrix::ToString(int max_rows, int max_cols) const {
 // ---------------------------------------------------------------------------
 // Naive (seed-bitwise) GEMM loops. These write into a pre-resized `out`
 // (Resize zero-fills, matching the original fresh-Matrix construction
-// bitwise) and are kept verbatim as the KernelKind::kNaive fallback and
-// the cross-binary-reproducible reference.
+// bitwise) and are kept verbatim as the cross-binary-reproducible reference
+// the blocked kernels are tested against.
 // ---------------------------------------------------------------------------
-namespace {
+namespace internal {
 
 void NaiveMatMul(const Matrix& a, const Matrix& b, Matrix* out,
                  const Parallelism& par) {
+  assert(a.cols() == b.rows());
+  assert(out != &a && out != &b);
   const size_t n = a.rows(), k = a.cols(), m = b.cols();
   out->Resize(n, m);
   // ikj loop order: streams through b and out rows, cache-friendly. Output
@@ -175,6 +177,8 @@ void NaiveMatMul(const Matrix& a, const Matrix& b, Matrix* out,
 
 void NaiveMatMulTransA(const Matrix& a, const Matrix& b, Matrix* out,
                        const Parallelism& par) {
+  assert(a.rows() == b.rows());
+  assert(out != &a && out != &b);
   const size_t k = a.rows(), n = a.cols(), m = b.cols();
   out->Resize(n, m);
   // Gathers per output row i (column i of a) instead of scattering per
@@ -196,6 +200,8 @@ void NaiveMatMulTransA(const Matrix& a, const Matrix& b, Matrix* out,
 
 void NaiveMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
                        const Parallelism& par) {
+  assert(a.cols() == b.cols());
+  assert(out != &a && out != &b);
   const size_t k = a.cols(), m = b.rows();
   out->Resize(a.rows(), m);
   ParallelFor(par, a.rows(), [&](size_t, size_t row_begin, size_t row_end) {
@@ -209,39 +215,21 @@ void NaiveMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out,
   });
 }
 
-}  // namespace
+}  // namespace internal
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 const Parallelism& par) {
-  assert(a.cols() == b.rows());
-  assert(out != &a && out != &b);
-  if (par.kernels.kind == KernelKind::kNaive) {
-    NaiveMatMul(a, b, out, par);
-  } else {
-    internal::BlockedMatMul(a, b, out, par);
-  }
+  internal::BlockedMatMul(a, b, out, par);
 }
 
 void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out,
                       const Parallelism& par) {
-  assert(a.rows() == b.rows());
-  assert(out != &a && out != &b);
-  if (par.kernels.kind == KernelKind::kNaive) {
-    NaiveMatMulTransA(a, b, out, par);
-  } else {
-    internal::BlockedMatMulTransA(a, b, out, par);
-  }
+  internal::BlockedMatMulTransA(a, b, out, par);
 }
 
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out,
                       const Parallelism& par) {
-  assert(a.cols() == b.cols());
-  assert(out != &a && out != &b);
-  if (par.kernels.kind == KernelKind::kNaive) {
-    NaiveMatMulTransB(a, b, out, par);
-  } else {
-    internal::BlockedMatMulTransB(a, b, out, par);
-  }
+  internal::BlockedMatMulTransB(a, b, out, par);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b, const Parallelism& par) {

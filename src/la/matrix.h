@@ -136,15 +136,12 @@ class Matrix {
 };
 
 // ---------------------------------------------------------------------------
-// GEMM entry points. Each dispatches on par.kernels.kind:
-//   kBlocked (default) — the cache-blocked, register-tiled kernels of
-//     la/kernels.cc. Run-to-run, thread-count, and shard-count
-//     deterministic; agrees with kNaive to ~1e-9 relative.
-//   kNaive — the original scalar loops, bitwise identical to the
-//     pre-kernel-layer (seed) outputs.
-// Both implementations partition *output* rows across shards with each
-// element's accumulation chain independent of the partition, so for a
-// fixed kernel kind results never vary with the parallel configuration.
+// GEMM entry points. Each runs the cache-blocked, register-tiled kernel of
+// la/kernels.cc, which partitions *output* rows across shards with each
+// element's accumulation chain independent of the partition, so results
+// never vary with the parallel configuration. They agree with the seed's
+// naive loops (la::internal::NaiveMatMul*, kept as the tests' reference) to
+// ~1e-9 relative, not bitwise.
 // ---------------------------------------------------------------------------
 
 /// out = a * b. Shapes: (n x k) * (k x m) -> (n x m).

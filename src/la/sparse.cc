@@ -6,13 +6,6 @@
 #include "la/vector_ops.h"
 
 namespace newsdiff::la {
-namespace {
-
-/// Column-strip width (doubles) for the blocked CSR kernels: one strip of
-/// the output row stays resident in L1 while the row's nonzeros stream by.
-constexpr size_t kCsrStrip = 256;
-
-}  // namespace
 
 CsrMatrix CsrMatrix::FromTriplets(size_t rows, size_t cols,
                                   std::vector<Triplet> triplets) {
@@ -99,31 +92,13 @@ Matrix CsrMatrix::MultiplyDense(const Matrix& d, const Parallelism& par) const {
   assert(cols_ == d.rows());
   Matrix out(rows_, d.cols());
   const size_t k = d.cols();
-  if (par.kernels.kind == KernelKind::kBlocked) {
-    // Column-strip blocked: each kCsrStrip-wide slice of the output row is
-    // accumulated over the row's full nonzero list before moving on, so the
-    // slice stays in L1. Per output element the accumulation still runs in
-    // ascending-p order — bitwise identical to the naive path.
-    ParallelFor(par, rows_, [&](size_t, size_t row_begin, size_t row_end) {
-      for (size_t r = row_begin; r < row_end; ++r) {
-        double* orow = out.RowPtr(r);
-        for (size_t js = 0; js < k; js += kCsrStrip) {
-          const size_t jn = std::min(kCsrStrip, k - js);
-          for (size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-            AxpyN(orow + js, d.RowPtr(col_idx_[p]) + js, values_[p], jn);
-          }
-        }
-      }
-    });
-    return out;
-  }
+  // Per output element the accumulation runs over the row's nonzeros in
+  // ascending column order, whatever the row partition.
   ParallelFor(par, rows_, [&](size_t, size_t row_begin, size_t row_end) {
     for (size_t r = row_begin; r < row_end; ++r) {
       double* orow = out.RowPtr(r);
       for (size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-        const double v = values_[p];
-        const double* drow = d.RowPtr(col_idx_[p]);
-        for (size_t j = 0; j < k; ++j) orow[j] += v * drow[j];
+        AxpyN(orow, d.RowPtr(col_idx_[p]), values_[p], k);
       }
     }
   });
@@ -150,33 +125,16 @@ Matrix CsrMatrix::MultiplyDenseTransposed(const Matrix& d,
   assert(cols_ == d.cols());
   Matrix out(rows_, d.rows());
   const size_t k = d.rows();
-  if (par.kernels.kind == KernelKind::kBlocked) {
-    // The naive loop reads d(j, c) down a column — a cols()-stride walk per
-    // nonzero. Transposing d once up front (O(rows*cols), tiny next to the
-    // product) turns every access into a contiguous row read. dt(c, j) ==
-    // d(j, c) exactly and the per-element accumulation order is unchanged,
-    // so this is bitwise identical to the naive path.
-    const Matrix dt = d.Transposed();
-    ParallelFor(par, rows_, [&](size_t, size_t row_begin, size_t row_end) {
-      for (size_t r = row_begin; r < row_end; ++r) {
-        double* orow = out.RowPtr(r);
-        for (size_t js = 0; js < k; js += kCsrStrip) {
-          const size_t jn = std::min(kCsrStrip, k - js);
-          for (size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-            AxpyN(orow + js, dt.RowPtr(col_idx_[p]) + js, values_[p], jn);
-          }
-        }
-      }
-    });
-    return out;
-  }
+  // Reading d(j, c) down a column is a cols()-stride walk per nonzero.
+  // Transposing d once up front (O(rows*cols), tiny next to the product)
+  // turns every access into a contiguous row read; dt(c, j) == d(j, c)
+  // exactly, so each element still sums the same terms in the same order.
+  const Matrix dt = d.Transposed();
   ParallelFor(par, rows_, [&](size_t, size_t row_begin, size_t row_end) {
     for (size_t r = row_begin; r < row_end; ++r) {
       double* orow = out.RowPtr(r);
       for (size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-        const double v = values_[p];
-        const uint32_t c = col_idx_[p];
-        for (size_t j = 0; j < k; ++j) orow[j] += v * d(j, c);
+        AxpyN(orow, dt.RowPtr(col_idx_[p]), values_[p], k);
       }
     }
   });

@@ -57,16 +57,7 @@ la::Matrix Dense::Backward(const la::Matrix& grad_output) {
   return la::MatMulTransB(grad_output, w_, par_);
 }
 
-void Dense::Prepack() {
-  if (par_.kernels.kind == KernelKind::kBlocked) {
-    packed_ = la::PackMatrixB(w_, par_.kernels);
-  }
-}
-
-void Dense::set_parallelism(const Parallelism& par) {
-  Layer::set_parallelism(par);
-  packed_.reset();  // packed under the old kernel config
-}
+void Dense::Prepack() { packed_ = la::PackMatrixB(w_); }
 
 std::vector<Param> Dense::Params() {
   return {{&w_, &dw_, "dense.w"}, {&b_, &db_, "dense.b"}};

@@ -21,11 +21,9 @@ class Dense : public Layer {
   std::vector<Param> Params() override;
   size_t OutputSize(size_t input_size) const override;
   std::string Name() const override { return "Dense"; }
-  /// Packs `weights()` for the blocked GEMM under the current kernel
-  /// config. A training forward or set_parallelism drops the pack; a
-  /// by-hand write through Params() does not, so prepack after it.
+  /// Packs `weights()` for the blocked GEMM. A training forward drops the
+  /// pack; a by-hand write through Params() does not, so prepack after it.
   void Prepack() override;
-  void set_parallelism(const Parallelism& par) override;
   bool prepacked() const { return packed_.has_value(); }
 
   size_t in_features() const { return in_features_; }

@@ -56,14 +56,14 @@ class Layer {
   /// bitwise invariant to this setting; Conv1D's backward weight gradient
   /// regroups its batch sum per shard (deterministic for a fixed shard
   /// count, and the legacy sum when the resolved shard count is 1).
-  virtual void set_parallelism(const Parallelism& par) { par_ = par; }
+  void set_parallelism(const Parallelism& par) { par_ = par; }
   const Parallelism& parallelism() const { return par_; }
 
-  /// Packs the layer's inference-time GEMM weights once, under the current
-  /// parallelism, so later inference forwards skip the per-call pack. Only
-  /// layers whose forward pass is a weights-on-the-right GEMM (Dense) hold
-  /// a pack; the default is a no-op. (Conv1D's forward is per-row DotN over
-  /// call-resident filter taps — there is no per-call packing to hoist.)
+  /// Packs the layer's inference-time GEMM weights once, so later
+  /// inference forwards skip the per-call pack. Only layers whose forward
+  /// pass is a weights-on-the-right GEMM (Dense) hold a pack; the default
+  /// is a no-op. (Conv1D's forward is per-row DotN over call-resident
+  /// filter taps — there is no per-call packing to hoist.)
   virtual void Prepack() {}
 
  protected:

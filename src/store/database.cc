@@ -27,10 +27,10 @@ Status ValidateCollectionName(const std::string& name) {
   return Status::OK();
 }
 
-/// Parses one collection's JSONL bytes into a fresh Collection. `expect_docs`
-/// of SIZE_MAX skips the count check (legacy files carry no manifest).
-/// `preserve_ids` restores each document into the slot its "_id" names (WAL
-/// recovery); otherwise ids are renumbered densely in line order.
+/// Parses one collection's JSONL bytes into a fresh Collection, checking
+/// the document count its manifest entry records. `preserve_ids` restores
+/// each document into the slot its "_id" names (WAL recovery); otherwise
+/// ids are renumbered densely in line order.
 StatusOr<std::unique_ptr<Collection>> ParseCollectionFile(
     const std::string& name, const std::string& contents,
     const std::string& diag_path, uint64_t expect_docs, bool preserve_ids) {
@@ -66,7 +66,7 @@ StatusOr<std::unique_ptr<Collection>> ParseCollectionFile(
     }
     ++docs;
   }
-  if (expect_docs != UINT64_MAX && docs != expect_docs) {
+  if (docs != expect_docs) {
     return Status::ParseError(diag_path + ": has " + std::to_string(docs) +
                               " documents, manifest expects " +
                               std::to_string(expect_docs));
@@ -230,8 +230,8 @@ void Database::GarbageCollect(const std::string& dir, FileIo& io,
 
   for (const std::string& name : *listing) {
     // Only reap snapshot-owned artifacts: manifests, collection files
-    // (including pre-snapshot legacy ones and files for since-dropped
-    // collections), and torn temp files. Foreign files are left alone.
+    // (including uncommitted ones and files for since-dropped collections),
+    // and torn temp files. Foreign files are left alone.
     if (referenced.count(name) > 0 || !IsSnapshotArtifact(name)) continue;
     Status removed = io.Remove(dir + "/" + name);
     if (!removed.ok()) {
@@ -259,7 +259,10 @@ Status Database::LoadFromDir(const std::string& dir,
     StatusOr<uint64_t> gen = ParseManifestFileName(name);
     if (gen.ok()) generations.push_back(*gen);
   }
-  if (generations.empty()) return LoadLegacyDir(dir, io, *listing, report);
+  // No manifest means no committed generation — a fresh directory, or a
+  // first save that crashed before its commit point. Its collection files
+  // are uncommitted state, so nothing is installed.
+  if (generations.empty()) return Status::OK();
   std::sort(generations.rbegin(), generations.rend());
 
   for (uint64_t gen : generations) {
@@ -585,30 +588,6 @@ Status Database::RecoverWal(const std::string& dir,
   }
 
   return AttachWal(dir, wal_options);
-}
-
-Status Database::LoadLegacyDir(const std::string& dir, FileIo& io,
-                               const std::vector<std::string>& listing,
-                               SnapshotLoadReport* report) {
-  report->legacy_format = true;
-  for (const std::string& name : listing) {
-    const std::string suffix = ".jsonl";
-    if (name.size() <= suffix.size() ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-            0) {
-      continue;
-    }
-    std::string stem = name.substr(0, name.size() - suffix.size());
-    const std::string path = dir + "/" + name;
-    StatusOr<std::string> contents = io.ReadFile(path);
-    if (!contents.ok()) return contents.status();
-    StatusOr<std::unique_ptr<Collection>> coll =
-        ParseCollectionFile(stem, *contents, path, UINT64_MAX,
-                            /*preserve_ids=*/false);
-    if (!coll.ok()) return coll.status();
-    collections_[stem] = std::move(coll).value();
-  }
-  return Status::OK();
 }
 
 }  // namespace newsdiff::store

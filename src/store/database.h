@@ -21,8 +21,8 @@ namespace newsdiff::store {
 /// crash at any point leaves the previous generation loadable. Loading
 /// replays the documents in order (fresh "_id"s are assigned, preserving
 /// relative order) from the newest generation that verifies, falling back
-/// past damaged ones. Directories written by the pre-snapshot format
-/// (bare `<collection>.jsonl`, no manifest) still load.
+/// past damaged ones. A directory without a manifest holds no committed
+/// generation and loads nothing.
 class Database {
  public:
   /// Creates an empty in-memory database.
@@ -63,8 +63,8 @@ class Database {
   /// manifest self-CRC and every collection's CRC/doc count, and falling
   /// back to older generations when a newer one is damaged. Collections in
   /// the loaded generation replace same-named in-memory collections.
-  /// Directories without a manifest load in the legacy per-file format
-  /// (every `*.jsonl`, strict: any malformed line fails).
+  /// A directory without a manifest installs nothing and returns OK with
+  /// `report->generation` 0.
   Status LoadFromDir(const std::string& dir);
   Status LoadFromDir(const std::string& dir, const SnapshotOptions& options,
                      SnapshotLoadReport* report = nullptr);
@@ -121,11 +121,6 @@ class Database {
   /// artifacts referenced by no retained manifest. Best-effort.
   static void GarbageCollect(const std::string& dir, FileIo& io,
                              size_t retain_generations);
-
-  /// Pre-snapshot format: every bare `*.jsonl` file, strict parsing.
-  Status LoadLegacyDir(const std::string& dir, FileIo& io,
-                       const std::vector<std::string>& listing,
-                       SnapshotLoadReport* report);
 
   std::map<std::string, std::unique_ptr<Collection>> collections_;
   /// Observer + writer for the attached WAL (heap-allocated so the

@@ -24,8 +24,9 @@ namespace newsdiff::store {
 /// document count, line-level JSON parse). Damaged newer generations are
 /// skipped, not fatal. After a successful save, generations older than
 /// `retain_generations` and any unreferenced snapshot files (dropped
-/// collections, torn temp files, pre-snapshot legacy `<name>.jsonl` files)
-/// are garbage-collected.
+/// collections, torn temp files, collection files no manifest committed)
+/// are garbage-collected. A directory with no manifest holds no committed
+/// generation: recovery installs nothing from it.
 
 struct SnapshotOptions {
   /// How many committed generations to keep on disk (>= 1). Older
@@ -38,19 +39,17 @@ struct SnapshotOptions {
   /// Restore each document into the slot named by its "_id" field instead
   /// of renumbering densely. WAL recovery requires this: log records
   /// address documents by their original ids, so the checkpoint must load
-  /// with id assignment intact (including gaps left by removals). The
-  /// legacy manifest-less format always renumbers regardless.
+  /// with id assignment intact (including gaps left by removals).
   bool preserve_doc_ids = false;
 };
 
 /// What recovery actually did, for operators and tests.
 struct SnapshotLoadReport {
-  /// Generation installed (0 when the directory held no manifest and the
-  /// legacy per-file format was loaded instead).
+  /// Generation installed (0 when the directory held no manifest and
+  /// nothing was installed).
   uint64_t generation = 0;
   /// Newer generations rejected as damaged before one verified.
   size_t generations_skipped = 0;
-  bool legacy_format = false;
   /// Human-readable reason each damaged generation was skipped.
   std::vector<std::string> problems;
   /// Write-ahead log replay (Database::RecoverWal): segments scanned, and

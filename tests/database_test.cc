@@ -2,10 +2,16 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
+#include "common/strings.h"
 #include "store/json.h"
+#include "store/snapshot.h"
 
 namespace newsdiff::store {
 namespace {
@@ -23,6 +29,30 @@ class DatabaseFixture : public ::testing::Test {
   void TearDown() override { fs::remove_all(dir_); }
 
   std::string dir() const { return dir_.string(); }
+
+  /// Commits snapshot generation 1 by hand: each (collection, contents)
+  /// pair as its collection file, listed in a manifest with the contents'
+  /// CRC and non-empty line count, so only the contents decide the load.
+  void WriteGeneration(
+      const std::vector<std::pair<std::string, std::string>>& files) {
+    fs::create_directories(dir_);
+    Manifest manifest;
+    manifest.generation = 1;
+    for (const auto& [name, contents] : files) {
+      ManifestEntry entry;
+      entry.collection = name;
+      entry.file = SnapshotCollectionFileName(name, 1);
+      entry.crc32 = Crc32(contents);
+      for (const std::string& line : Split(contents, '\n')) {
+        if (!line.empty()) ++entry.docs;
+      }
+      std::ofstream(dir_ / entry.file, std::ios::binary) << contents;
+      manifest.entries.push_back(entry);
+    }
+    std::ofstream(dir_ / ManifestFileName(1), std::ios::binary)
+        << SerializeManifest(manifest);
+  }
+
   fs::path dir_;
 };
 
@@ -92,38 +122,34 @@ TEST_F(DatabaseFixture, LoadMissingDirFails) {
 }
 
 TEST_F(DatabaseFixture, LoadRejectsMalformedLines) {
-  fs::create_directories(dir_);
-  {
-    std::ofstream out(dir_ / "bad.jsonl");
-    out << "{\"ok\":1}\n{not json\n";
-  }
+  // The manifest's CRC and count match, so the JSON parse is what rejects
+  // the generation, naming the bad line.
+  WriteGeneration({{"bad", "{\"ok\":1}\n{not json\n"}});
   Database db;
-  Status s = db.LoadFromDir(dir());
+  SnapshotLoadReport report;
+  Status s = db.LoadFromDir(dir(), SnapshotOptions{}, &report);
   EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  ASSERT_EQ(report.problems.size(), 1u);
+  EXPECT_NE(report.problems[0].find("bad-0000000001.jsonl:2:"),
+            std::string::npos)
+      << report.problems[0];
+  EXPECT_EQ(db.Get("bad"), nullptr);
 }
 
 TEST_F(DatabaseFixture, LoadSkipsNonJsonlFiles) {
-  fs::create_directories(dir_);
-  {
-    std::ofstream out(dir_ / "notes.txt");
-    out << "not a collection\n";
-  }
-  {
-    std::ofstream out(dir_ / "c.jsonl");
-    out << "{\"v\":1}\n";
-  }
+  // Only what the manifest lists loads: a foreign file and a collection
+  // file no manifest references are both skipped.
+  WriteGeneration({{"c", "{\"v\":1}\n"}});
+  std::ofstream(dir_ / "notes.txt") << "not a collection\n";
+  std::ofstream(dir_ / "stray.jsonl") << "{\"v\":2}\n";
   Database db;
   ASSERT_TRUE(db.LoadFromDir(dir()).ok());
   EXPECT_EQ(db.CollectionNames(), (std::vector<std::string>{"c"}));
 }
 
 TEST_F(DatabaseFixture, EmptyLinesIgnored) {
-  fs::create_directories(dir_);
-  {
-    std::ofstream out(dir_ / "c.jsonl");
-    out << "{\"v\":1}\n\n{\"v\":2}\n";
-  }
+  WriteGeneration({{"c", "{\"v\":1}\n\n{\"v\":2}\n"}});
   Database db;
   ASSERT_TRUE(db.LoadFromDir(dir()).ok());
   EXPECT_EQ(db.Get("c")->size(), 2u);

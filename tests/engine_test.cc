@@ -125,10 +125,28 @@ TEST_F(EngineFixture, OptionsViewsCarryTheAuthoritativeParallelism) {
   options.parallelism.threads = 7;
   options.parallelism.shards = 13;
   options.pipeline.parallelism.threads = 1;  // stale embedded copy
-  options.predictor.parallelism.threads = 2;
+  options.serving.model.parallelism.threads = 2;
   EXPECT_EQ(options.PipelineView().parallelism.threads, 7u);
   EXPECT_EQ(options.PipelineView().parallelism.shards, 13u);
-  EXPECT_EQ(options.PredictorView().parallelism.threads, 7u);
+  EXPECT_EQ(options.ServingView().model.parallelism.threads, 7u);
+  EXPECT_EQ(options.ServingView().model.parallelism.shards, 13u);
+}
+
+// serving.model.num_classes is the one copy of the answer's class space:
+// the view carries it and a built Engine answers in it.
+TEST_F(EngineFixture, ServingNumClassesSetsTheAnswersClassSpace) {
+  EngineOptions options;
+  EXPECT_EQ(options.ServingView().model.num_classes, 3u);  // Table-2 classes
+  options.serving.model.num_classes = 2;
+  EXPECT_EQ(options.ServingView().model.num_classes, 2u);
+  Engine engine(options);
+  ASSERT_TRUE(engine.BuildIndex(db_).ok());
+  StatusOr<InterestPrediction> prediction =
+      engine.PredictInterest(EventQuery(), 25);
+  ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
+  ASSERT_EQ(prediction->class_weights.size(), 2u);
+  EXPECT_NEAR(prediction->class_weights[0] + prediction->class_weights[1],
+              1.0, 1e-9);
 }
 
 TEST_F(EngineFixture, IndexDirDefaultsUnderSnapshotDir) {

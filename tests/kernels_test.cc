@@ -1,9 +1,11 @@
-// Regression tests for the blocked kernel layer (la/kernels.cc) and its
-// dispatchers in la/matrix.h: shape-edge agreement with the naive loops,
-// the exact-determinism contract, the seed-bitwise naive fallback, and the
-// 64-byte alignment invariant of Matrix storage. The ParallelKernels suite
-// runs under tsan in CI (selected by the `Parallel` test-name regex).
+// Regression tests for the blocked kernel layer (la/kernels.cc) behind the
+// la/matrix.h entry points: shape-edge agreement with the naive reference
+// loops, the exact-determinism contract, the seed-bitwise naive reference,
+// the CSR products against the serial scatter loop, and the 64-byte
+// alignment invariant of Matrix storage. The ParallelKernels suite runs
+// under tsan in CI (selected by the `Parallel` test-name regex).
 #include <cstdint>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,15 +35,8 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-Parallelism Naive() {
+Parallelism Threads(size_t threads) {
   Parallelism par;
-  par.kernels.kind = KernelKind::kNaive;
-  return par;
-}
-
-Parallelism Blocked(size_t threads = 1) {
-  Parallelism par;
-  par.kernels.kind = KernelKind::kBlocked;
   par.threads = threads;
   return par;
 }
@@ -79,8 +74,8 @@ TEST(BlockedKernels, MatMulAgreesWithNaiveOnEdgeShapes) {
     Matrix a = RandomMatrix(s.n, s.k, 1);
     Matrix b = RandomMatrix(s.k, s.m, 2);
     Matrix naive, blocked;
-    MatMulInto(a, b, &naive, Naive());
-    MatMulInto(a, b, &blocked, Blocked());
+    internal::NaiveMatMul(a, b, &naive);
+    MatMulInto(a, b, &blocked);
     ExpectNear(blocked, naive, 1e-9);
   }
 }
@@ -90,8 +85,8 @@ TEST(BlockedKernels, MatMulTransAAgreesWithNaiveOnEdgeShapes) {
     Matrix a = RandomMatrix(s.k, s.n, 3);
     Matrix b = RandomMatrix(s.k, s.m, 4);
     Matrix naive, blocked;
-    MatMulTransAInto(a, b, &naive, Naive());
-    MatMulTransAInto(a, b, &blocked, Blocked());
+    internal::NaiveMatMulTransA(a, b, &naive);
+    MatMulTransAInto(a, b, &blocked);
     ExpectNear(blocked, naive, 1e-9);
   }
 }
@@ -101,8 +96,8 @@ TEST(BlockedKernels, MatMulTransBAgreesWithNaiveOnEdgeShapes) {
     Matrix a = RandomMatrix(s.n, s.k, 5);
     Matrix b = RandomMatrix(s.m, s.k, 6);
     Matrix naive, blocked;
-    MatMulTransBInto(a, b, &naive, Naive());
-    MatMulTransBInto(a, b, &blocked, Blocked());
+    internal::NaiveMatMulTransB(a, b, &naive);
+    MatMulTransBInto(a, b, &blocked);
     ExpectNear(blocked, naive, 1e-9);
   }
 }
@@ -111,23 +106,9 @@ TEST(BlockedKernels, RepeatedRunsAreBitwiseIdentical) {
   Matrix a = RandomMatrix(65, 129, 7);
   Matrix b = RandomMatrix(129, 33, 8);
   Matrix first, second;
-  MatMulInto(a, b, &first, Blocked());
-  MatMulInto(a, b, &second, Blocked());
+  MatMulInto(a, b, &first);
+  MatMulInto(a, b, &second);
   ExpectBitwise(second, first);
-}
-
-TEST(BlockedKernels, BlockSizeRoundingSurvivesDegenerateConfig) {
-  // mc/kc/nc of 0/1 must be clamped to at least one micro-tile, not crash.
-  Matrix a = RandomMatrix(9, 5, 9);
-  Matrix b = RandomMatrix(5, 7, 10);
-  Parallelism par = Blocked();
-  par.kernels.mc = 0;
-  par.kernels.kc = 0;
-  par.kernels.nc = 1;
-  Matrix naive, blocked;
-  MatMulInto(a, b, &naive, Naive());
-  MatMulInto(a, b, &blocked, par);
-  ExpectNear(blocked, naive, 1e-9);
 }
 
 TEST(BlockedKernels, IntoVariantsReuseOutputCapacity) {
@@ -135,15 +116,16 @@ TEST(BlockedKernels, IntoVariantsReuseOutputCapacity) {
   Matrix b = RandomMatrix(8, 12, 12);
   Matrix out = RandomMatrix(40, 40, 13);  // larger: capacity must be reused
   const double* before = out.data().data();
-  MatMulInto(a, b, &out, Blocked());
+  MatMulInto(a, b, &out);
   EXPECT_EQ(out.rows(), 16u);
   EXPECT_EQ(out.cols(), 12u);
   EXPECT_EQ(out.data().data(), before);
 }
 
 TEST(NaiveKernels, MatMulBitwiseMatchesLegacyLoop) {
-  // The naive path must reproduce the pre-kernel-layer ikj loop bit for
-  // bit: this replicated loop IS the seed implementation.
+  // The naive reference must reproduce the pre-kernel-layer ikj loop bit
+  // for bit, at any thread count: this replicated loop IS the seed
+  // implementation.
   Matrix a = RandomMatrix(23, 17, 14);
   Matrix b = RandomMatrix(17, 29, 15);
   Matrix legacy(a.rows(), b.cols());
@@ -158,13 +140,18 @@ TEST(NaiveKernels, MatMulBitwiseMatchesLegacyLoop) {
     }
   }
   Matrix naive;
-  MatMulInto(a, b, &naive, Naive());
+  internal::NaiveMatMul(a, b, &naive);
   ExpectBitwise(naive, legacy);
-  Matrix wrapper = MatMul(a, b, Naive());
-  ExpectBitwise(wrapper, legacy);
+  Matrix sharded;
+  internal::NaiveMatMul(a, b, &sharded, Threads(4));
+  ExpectBitwise(sharded, legacy);
 }
 
-TEST(BlockedKernels, CsrProductsAreBitwiseEqualToNaive) {
+// Both CSR products against the serial scatter loop of
+// TransposeMultiplyDense over the transposed matrix, which visits each
+// output row's nonzeros in the same ascending-column order: at NMF's
+// width (num_topics = 24) and at a width above 256, serially and sharded.
+TEST(CsrKernels, ProductsAreBitwiseEqualToTheScatterLoop) {
   Rng rng(16);
   std::vector<Triplet> t;
   for (size_t i = 0; i < 900; ++i) {
@@ -173,12 +160,19 @@ TEST(BlockedKernels, CsrProductsAreBitwiseEqualToNaive) {
                  rng.NextDouble() + 0.1});
   }
   CsrMatrix csr = CsrMatrix::FromTriplets(120, 90, t);
-  Matrix d = RandomMatrix(90, 37, 17);    // non-multiple of the strip width
-  Matrix dt = RandomMatrix(37, 90, 18);
-  ExpectBitwise(csr.MultiplyDense(d, Blocked()),
-                csr.MultiplyDense(d, Naive()));
-  ExpectBitwise(csr.MultiplyDenseTransposed(dt, Blocked()),
-                csr.MultiplyDenseTransposed(dt, Naive()));
+  const CsrMatrix csr_t = csr.Transposed();
+  for (size_t width : {24ul, 300ul}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    Matrix d = RandomMatrix(90, width, 17);
+    Matrix dt = RandomMatrix(width, 90, 18);
+    const Matrix want = csr_t.TransposeMultiplyDense(d);
+    const Matrix want_t = csr_t.TransposeMultiplyDense(dt.Transposed());
+    for (size_t threads : {1ul, 4ul}) {
+      ExpectBitwise(csr.MultiplyDense(d, Threads(threads)), want);
+      ExpectBitwise(csr.MultiplyDenseTransposed(dt, Threads(threads)),
+                    want_t);
+    }
+  }
 }
 
 TEST(MatrixAlignment, RowStorageBaseIs64ByteAligned) {
@@ -212,14 +206,14 @@ TEST(ParallelKernelsTest, DenseProductsExactAcrossThreadCounts) {
   Matrix at = a.Transposed();  // 129 x 65: shares b's row count for TransA
   Matrix bt = b.Transposed();  // 65 x 129: shares a's col count for TransB
   Matrix serial_mm, serial_ta, serial_tb;
-  MatMulInto(a, b, &serial_mm, Blocked(1));
-  MatMulTransAInto(at, b, &serial_ta, Blocked(1));
-  MatMulTransBInto(a, bt, &serial_tb, Blocked(1));
+  MatMulInto(a, b, &serial_mm, Threads(1));
+  MatMulTransAInto(at, b, &serial_ta, Threads(1));
+  MatMulTransBInto(a, bt, &serial_tb, Threads(1));
   for (size_t threads : {2ul, 4ul}) {
     Matrix mm, ta, tb;
-    MatMulInto(a, b, &mm, Blocked(threads));
-    MatMulTransAInto(at, b, &ta, Blocked(threads));
-    MatMulTransBInto(a, bt, &tb, Blocked(threads));
+    MatMulInto(a, b, &mm, Threads(threads));
+    MatMulTransAInto(at, b, &ta, Threads(threads));
+    MatMulTransBInto(a, bt, &tb, Threads(threads));
     ExpectBitwise(mm, serial_mm);
     ExpectBitwise(ta, serial_ta);
     ExpectBitwise(tb, serial_tb);
@@ -230,9 +224,9 @@ TEST(ParallelKernelsTest, DenseProductExactAcrossShardCounts) {
   Matrix a = RandomMatrix(130, 40, 21);
   Matrix b = RandomMatrix(40, 50, 22);
   Matrix baseline;
-  MatMulInto(a, b, &baseline, Blocked(1));
+  MatMulInto(a, b, &baseline, Threads(1));
   for (size_t shards : {3ul, 16ul, 64ul}) {
-    Parallelism par = Blocked(4);
+    Parallelism par = Threads(4);
     par.shards = shards;
     Matrix out;
     MatMulInto(a, b, &out, par);
@@ -240,37 +234,40 @@ TEST(ParallelKernelsTest, DenseProductExactAcrossShardCounts) {
   }
 }
 
+/// (n, k, m) spanning several panels of every block size with ragged
+/// tails: 3 row blocks of 64 (one ragged), 2 depth panels of 256 (one
+/// ragged), 3 column panels of 128 (one ragged).
+constexpr Shape kManyPanels = {150, 300, 300};
+
 // The shared-B-panel driver packs each (jc, pc) panel once on the calling
-// thread and fans the row blocks out per panel. Force many small panels so
-// every jc/pc edge case (full panels, ragged tails) crosses the shared
-// buffer, and check the result is bitwise identical across thread and
-// shard counts — and to the one-shard run that never shares anything.
+// thread and fans the row blocks out per panel. Use a shape with many
+// panels so every jc/pc edge case (full panels, ragged tails) crosses the
+// shared buffer, and check the result is bitwise identical across thread
+// and shard counts — and to the one-shard run that never shares anything.
 TEST(ParallelKernelsTest, SharedBPanelExactAcrossConfigsWithManyPanels) {
-  Matrix a = RandomMatrix(70, 90, 31);
-  Matrix b = RandomMatrix(90, 50, 32);
+  const Shape s = kManyPanels;
+  Matrix a = RandomMatrix(s.n, s.k, 31);
+  Matrix b = RandomMatrix(s.k, s.m, 32);
   Matrix at = a.Transposed();
   Matrix bt = b.Transposed();
-  auto tiny_blocks = [](size_t threads, size_t shards) {
-    Parallelism par = Blocked(threads);
+  auto sharded = [](size_t threads, size_t shards) {
+    Parallelism par = Threads(threads);
     par.shards = shards;
-    par.kernels.mc = 8;    // 9 row blocks
-    par.kernels.kc = 16;   // 6 depth panels (one ragged)
-    par.kernels.nc = 16;   // 4 column panels (one ragged)
     return par;
   };
   Matrix serial_mm, serial_ta, serial_tb;
-  MatMulInto(a, b, &serial_mm, tiny_blocks(1, 1));
-  MatMulTransAInto(at, b, &serial_ta, tiny_blocks(1, 1));
-  MatMulTransBInto(a, bt, &serial_tb, tiny_blocks(1, 1));
+  MatMulInto(a, b, &serial_mm, sharded(1, 1));
+  MatMulTransAInto(at, b, &serial_ta, sharded(1, 1));
+  MatMulTransBInto(a, bt, &serial_tb, sharded(1, 1));
   Matrix naive;
-  MatMulInto(a, b, &naive, Naive());
+  internal::NaiveMatMul(a, b, &naive);
   ExpectNear(serial_mm, naive, 1e-12);
   for (const auto& [threads, shards] :
        {std::pair<size_t, size_t>{2, 5}, {4, 16}, {3, 64}}) {
     Matrix mm, ta, tb;
-    MatMulInto(a, b, &mm, tiny_blocks(threads, shards));
-    MatMulTransAInto(at, b, &ta, tiny_blocks(threads, shards));
-    MatMulTransBInto(a, bt, &tb, tiny_blocks(threads, shards));
+    MatMulInto(a, b, &mm, sharded(threads, shards));
+    MatMulTransAInto(at, b, &ta, sharded(threads, shards));
+    MatMulTransBInto(a, bt, &tb, sharded(threads, shards));
     ExpectBitwise(mm, serial_mm);
     ExpectBitwise(ta, serial_ta);
     ExpectBitwise(tb, serial_tb);
@@ -283,31 +280,25 @@ TEST(PrepackedKernels, BitwiseEqualToBlockedMatMulOnEdgeShapes) {
   for (const Shape& s : kShapes) {
     Matrix a = RandomMatrix(s.n, s.k, 41);
     Matrix b = RandomMatrix(s.k, s.m, 42);
-    Parallelism par = Blocked();
     Matrix reference;
-    MatMulInto(a, b, &reference, par);
-    PackedB packed = PackMatrixB(b, par.kernels);
+    MatMulInto(a, b, &reference);
+    PackedB packed = PackMatrixB(b);
     Matrix prepacked;
-    internal::BlockedMatMulPrepacked(a, packed, &prepacked, par);
+    internal::BlockedMatMulPrepacked(a, packed, &prepacked, Threads(1));
     ExpectBitwise(prepacked, reference);
   }
 }
 
 TEST(PrepackedKernels, BitwiseEqualUnderTinyBlocksAndThreads) {
-  Matrix a = RandomMatrix(70, 90, 43);
-  Matrix b = RandomMatrix(90, 50, 44);
-  Parallelism par = Blocked();
-  par.kernels.mc = 8;
-  par.kernels.kc = 16;
-  par.kernels.nc = 16;
+  const Shape s = kManyPanels;
+  Matrix a = RandomMatrix(s.n, s.k, 43);
+  Matrix b = RandomMatrix(s.k, s.m, 44);
   Matrix reference;
-  MatMulInto(a, b, &reference, par);
-  PackedB packed = PackMatrixB(b, par.kernels);
+  MatMulInto(a, b, &reference);
+  PackedB packed = PackMatrixB(b);
   for (size_t threads : {1ul, 2ul, 4ul}) {
-    Parallelism run = par;
-    run.threads = threads;
     Matrix prepacked;
-    internal::BlockedMatMulPrepacked(a, packed, &prepacked, run);
+    internal::BlockedMatMulPrepacked(a, packed, &prepacked, Threads(threads));
     ExpectBitwise(prepacked, reference);
   }
 }
@@ -318,8 +309,8 @@ TEST(PrepackedKernels, BitwiseEqualUnderTinyBlocksAndThreads) {
 TEST(PrepackedKernels, BatchOfNBitwiseEqualsNBatchesOfOne) {
   Matrix batch = RandomMatrix(17, 48, 45);
   Matrix b = RandomMatrix(48, 24, 46);
-  Parallelism par = Blocked(2);
-  PackedB packed = PackMatrixB(b, par.kernels);
+  Parallelism par = Threads(2);
+  PackedB packed = PackMatrixB(b);
   Matrix all;
   internal::BlockedMatMulPrepacked(batch, packed, &all, par);
   for (size_t r = 0; r < batch.rows(); ++r) {
@@ -339,13 +330,12 @@ TEST(PrepackedKernels, BatchOfNBitwiseEqualsNBatchesOfOne) {
 TEST(ParallelKernelsTest, PrepackedProductExactAcrossThreadCounts) {
   Matrix a = RandomMatrix(65, 129, 53);
   Matrix b = RandomMatrix(129, 65, 54);
-  Parallelism par = Blocked(1);
-  PackedB packed = PackMatrixB(b, par.kernels);
+  PackedB packed = PackMatrixB(b);
   Matrix baseline;
-  internal::BlockedMatMulPrepacked(a, packed, &baseline, par);
+  internal::BlockedMatMulPrepacked(a, packed, &baseline, Threads(1));
   for (size_t threads : {2ul, 4ul}) {
     Matrix out;
-    internal::BlockedMatMulPrepacked(a, packed, &out, Blocked(threads));
+    internal::BlockedMatMulPrepacked(a, packed, &out, Threads(threads));
     ExpectBitwise(out, baseline);
   }
 }
@@ -360,9 +350,9 @@ TEST(ParallelKernelsTest, CsrProductExactAcrossThreadCounts) {
   }
   CsrMatrix csr = CsrMatrix::FromTriplets(200, 80, t);
   Matrix d = RandomMatrix(80, 48, 24);
-  Matrix baseline = csr.MultiplyDense(d, Blocked(1));
+  Matrix baseline = csr.MultiplyDense(d, Threads(1));
   for (size_t threads : {2ul, 4ul}) {
-    ExpectBitwise(csr.MultiplyDense(d, Blocked(threads)), baseline);
+    ExpectBitwise(csr.MultiplyDense(d, Threads(threads)), baseline);
   }
 }
 

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -116,40 +117,32 @@ TEST(DenseTest, GradientCheck) {
   CheckGradients(dense, x, 1e-4);
 }
 
-// Prepacking changes who packs the weights, never the product: under the
-// default kernel config and a small one that splits them into many panels.
+// Prepacking changes who packs the weights, never the product: for a layer
+// inside one panel and a 300 -> 140 layer that spans two depth panels and
+// two column panels, each with a ragged tail.
 TEST(DenseTest, PrepackedForwardMatchesUnpackedBitwise) {
-  Parallelism small;
-  small.kernels.kc = 16;
-  small.kernels.nc = 8;
-  for (const Parallelism& par : {Parallelism{}, small}) {
+  for (const auto& [in, out] :
+       {std::pair<size_t, size_t>{40, 24}, {300, 140}}) {
     Rng rng_a(7), rng_b(7), rng(8);
-    Dense packed(40, 24, rng_a), plain(40, 24, rng_b);
-    packed.set_parallelism(par);
-    plain.set_parallelism(par);
+    Dense packed(in, out, rng_a), plain(in, out, rng_b);
     packed.Prepack();
     for (size_t rows : {1, 3, 10, 64}) {
-      la::Matrix x = la::Matrix::Random(rows, 40, -1.0, 1.0, rng);
+      la::Matrix x = la::Matrix::Random(rows, in, -1.0, 1.0, rng);
       EXPECT_EQ(packed.Forward(x, false).data(), plain.Forward(x, false).data())
-          << rows << " rows, kc " << par.kernels.kc;
+          << rows << " rows, " << in << " -> " << out;
     }
     EXPECT_TRUE(packed.prepacked());  // inference forwards keep the pack
   }
 }
 
-// The pack is dropped by what could make it stale: a training forward
-// (the optimizer step after it moves the weights) and a new kernel config.
-TEST(DenseTest, TrainingForwardAndSetParallelismDropThePack) {
+// The pack is dropped by what could make it stale: a training forward (the
+// optimizer step after it moves the weights).
+TEST(DenseTest, TrainingForwardDropsThePack) {
   Rng rng(9);
   Dense dense(8, 4, rng);
   la::Matrix x = la::Matrix::Random(2, 8, -1.0, 1.0, rng);
   dense.Prepack();
   dense.Forward(x, /*training=*/true);
-  EXPECT_FALSE(dense.prepacked());
-  dense.Prepack();
-  Parallelism par;
-  par.kernels.kc = 4;
-  dense.set_parallelism(par);
   EXPECT_FALSE(dense.prepacked());
 }
 

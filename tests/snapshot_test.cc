@@ -102,7 +102,6 @@ TEST_F(SnapshotFixture, GenerationsGrowAndLoadPicksNewest) {
   ASSERT_TRUE(loaded.LoadFromDir(dir(), SnapshotOptions{}, &report).ok());
   EXPECT_EQ(report.generation, 2u);
   EXPECT_EQ(report.generations_skipped, 0u);
-  EXPECT_FALSE(report.legacy_format);
   EXPECT_EQ(loaded.Get("c")->size(), 2u);
 }
 
@@ -151,8 +150,7 @@ TEST_F(SnapshotFixture, LegacyOrphanFilesAreGarbageCollected) {
   db.GetOrCreate("c").Insert(MakeObject({{"v", 1}}));
   ASSERT_TRUE(db.SaveToDir(dir(), opts).ok());
   EXPECT_FALSE(fs::exists(dir_ / "orphan.jsonl"))
-      << "pre-snapshot legacy file must not linger (it would resurrect a "
-         "dropped collection on a legacy-format load)";
+      << "a collection file no manifest references must not linger";
 
   Database loaded;
   ASSERT_TRUE(loaded.LoadFromDir(dir()).ok());
@@ -288,20 +286,6 @@ TEST_F(SnapshotFixture, FailedLoadLeavesDatabaseUntouched) {
   EXPECT_EQ(loaded.Get("c")->All()[0].Find("v")->AsInt(), 8);
 }
 
-TEST_F(SnapshotFixture, LegacyDirectoryLoadsAndReportsFormat) {
-  fs::create_directories(dir_);
-  {
-    std::ofstream out(dir_ / "c.jsonl");
-    out << "{\"v\":1}\n";
-  }
-  Database db;
-  SnapshotLoadReport report;
-  ASSERT_TRUE(db.LoadFromDir(dir(), SnapshotOptions{}, &report).ok());
-  EXPECT_TRUE(report.legacy_format);
-  EXPECT_EQ(report.generation, 0u);
-  EXPECT_EQ(db.Get("c")->size(), 1u);
-}
-
 TEST_F(SnapshotFixture, UnreadableDirectoryFailsCleanly) {
   // Injected ListDir failure (chmod tricks don't bite when running as
   // root, so the seam is the only reliable way to model an unreadable
@@ -329,7 +313,8 @@ TEST_F(SnapshotFixture, UnreadableDirectoryFailsCleanly) {
 TEST_F(SnapshotFixture, CrashAtEveryPointDuringSaveRecovers) {
   // Simulate kill -9 at every filesystem operation of a save and verify
   // recovery always lands on a complete state: the previous generation if
-  // the crash hit before the manifest commit, the new one after.
+  // the crash hit before the manifest commit, the new one after. The first
+  // save has no previous generation: recovery from it installs nothing.
   for (size_t crash_at = 1; crash_at <= 24; ++crash_at) {
     SCOPED_TRACE("crash_after_ops=" + std::to_string(crash_at));
     fs::remove_all(dir_);
@@ -337,8 +322,29 @@ TEST_F(SnapshotFixture, CrashAtEveryPointDuringSaveRecovers) {
     Database db;
     db.GetOrCreate("news").Insert(MakeObject({{"title", "first"}}));
     db.GetOrCreate("tweets").Insert(MakeObject({{"text", "hello"}}));
-    ASSERT_TRUE(db.SaveToDir(dir()).ok());
     const auto state1 = Dump(db);
+    {
+      datagen::StorageFaultOptions fopts;
+      fopts.seed = 2000 + crash_at;
+      fopts.crash_after_ops = crash_at;
+      datagen::FaultyFileIo faulty(DefaultFileIo(), fopts);
+      SnapshotOptions opts;
+      opts.io = &faulty;
+      Status saved = db.SaveToDir(dir(), opts);
+
+      Database loaded;
+      SnapshotLoadReport report;
+      ASSERT_TRUE(loaded.LoadFromDir(dir(), SnapshotOptions{}, &report).ok());
+      if (saved.ok()) {
+        EXPECT_EQ(Dump(loaded), state1);
+      } else {
+        EXPECT_TRUE(loaded.CollectionNames().empty())
+            << "a first save that never committed must install nothing";
+        EXPECT_EQ(report.generation, 0u);
+      }
+    }
+    fs::remove_all(dir_);
+    ASSERT_TRUE(db.SaveToDir(dir()).ok());
 
     db.GetOrCreate("news").Insert(MakeObject({{"title", "second"}}));
     db.GetOrCreate("tweets").Insert(MakeObject({{"text", "world"}}));
