@@ -12,6 +12,8 @@
 //   * both CSR products are bitwise equal at 1 and 4 threads and to the
 //     serial scatter loop (TransposeMultiplyDense over the transpose);
 //   * fold-grain CV reproduces serial CV bitwise.
+// It also prints `blocked_digest`, a CRC-32 of the blocked products' bits
+// over a shape sweep (see BlockedDigest); it gates nothing.
 // CI runs `kernels_bench --smoke` on the Release legs; full mode produces
 // the checked-in BENCH_kernels.json (see --out).
 #include <algorithm>
@@ -19,9 +21,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/crc32.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/cross_validation.h"
@@ -87,6 +91,46 @@ double BestSeconds(size_t reps, const std::function<void()>& fn) {
   return best;
 }
 
+/// CRC-32 of the bytes of MatMul, MatMulTransA, MatMulTransB and the
+/// prepacked product over a seeded sweep of (n, k, m): each dimension
+/// sits below, on and just past the micro-tile heights (4 and 8 rows), the
+/// tile width (8), the row block (64), the panel depth (256) and the panel
+/// width (128). Two builds of the same kernels on one host print the same
+/// digest, so a kernel rewrite that claims to keep every bit can be
+/// checked against the commit before it. The value depends on compile
+/// flags (FMA contraction under -march=native), so nothing gates on it.
+uint32_t BlockedDigest() {
+  const size_t ns[] = {1, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65, 130};
+  const size_t ks[] = {1, 5, 8, 255, 256, 257, 513};
+  const size_t ms[] = {1, 7, 8, 9, 127, 128, 129, 257};
+  uint32_t crc = 0;
+  auto feed = [&crc](const la::Matrix& m) {
+    crc = Crc32(std::string_view(reinterpret_cast<const char*>(m.data().data()),
+                                 m.size() * sizeof(double)),
+                crc);
+  };
+  uint64_t seed = 1000;
+  la::Matrix out;
+  for (size_t n : ns) {
+    for (size_t k : ks) {
+      for (size_t m : ms) {
+        const la::Matrix a = RandomMatrix(n, k, seed++);
+        const la::Matrix b = RandomMatrix(k, m, seed++);
+        la::MatMulInto(a, b, &out);
+        feed(out);
+        la::MatMulTransAInto(RandomMatrix(k, n, seed++), b, &out);
+        feed(out);
+        la::MatMulTransBInto(a, RandomMatrix(m, k, seed++), &out);
+        feed(out);
+        la::internal::BlockedMatMulPrepacked(a, la::PackMatrixB(b), &out,
+                                             Threads(1));
+        feed(out);
+      }
+    }
+  }
+  return crc;
+}
+
 struct KernelRow {
   std::string kernel;
   std::string variant;
@@ -120,6 +164,7 @@ struct Report {
   double gemm_blocked_speedup_1t = 0.0;
   double max_rel_error_vs_naive = 0.0;
   double fold_vs_intra_speedup = 0.0;
+  uint32_t blocked_digest = 0;
   bool gates_ok = true;
 };
 
@@ -136,6 +181,8 @@ bool WriteJson(const Report& r, const std::string& path) {
                r.gemm_blocked_speedup_1t);
   std::fprintf(f, "  \"fold_vs_intra_speedup\": %.2f,\n",
                r.fold_vs_intra_speedup);
+  std::fprintf(f, "  \"blocked_digest\": \"%s\",\n",
+               Crc32Hex(r.blocked_digest).c_str());
   std::fprintf(f, "  \"gates_ok\": %s,\n", r.gates_ok ? "true" : "false");
   std::fprintf(f, "  \"inference\": [\n");
   for (size_t i = 0; i < r.inference.size(); ++i) {
@@ -195,6 +242,10 @@ int main(int argc, char** argv) {
               report.mode.c_str());
   std::printf("hardware_threads=%zu tolerance=%.0e\n\n", HardwareThreads(),
               kRelTolerance);
+
+  report.blocked_digest = BlockedDigest();
+  std::printf("blocked_digest=%s\n\n",
+              Crc32Hex(report.blocked_digest).c_str());
 
   const size_t dim = smoke ? 192 : 512;
   const size_t reps = smoke ? 2 : 3;

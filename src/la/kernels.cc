@@ -1,7 +1,8 @@
 // Cache-blocked GEMM kernels. This translation unit is compiled with
 // stronger optimization flags than the rest of the tree (see
-// la/CMakeLists.txt): the micro-kernel below is written so the compiler
-// can keep the 4x8 accumulator tile in vector registers and the packed
+// la/CMakeLists.txt): the micro-kernel below keeps its accumulator tile
+// in vector registers (8x8 in eight zmm registers where AVX-512 is
+// available, a 4x8 loop the compiler vectorizes elsewhere) and the packed
 // panels stream linearly from L1/L2.
 //
 // Determinism: the traversal (block boundaries, packing layout, per-element
@@ -17,15 +18,26 @@
 #include <algorithm>
 #include <cassert>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #include "common/arena.h"
 
 namespace newsdiff::la {
 namespace {
 
-/// Micro-tile height (rows of A) and width (columns of B). 4x8 doubles =
-/// 32 accumulators: fits the 16 ymm registers of AVX2 two-per-register
-/// and still leaves headroom on SSE2.
+/// Micro-tile height (rows of A) and width (columns of B). The height
+/// follows the ISA: with AVX-512 one 8-double row of the tile is one zmm
+/// register, so 8x8 is eight accumulators; elsewhere 4x8 doubles fit the
+/// 16 ymm registers of AVX2 two-per-register. The height only decides
+/// which outputs share a pass over the packed B strip, never an output's
+/// accumulation chain (see MicroKernel).
+#if defined(__AVX512F__)
+constexpr size_t kMr = 8;
+#else
 constexpr size_t kMr = 4;
+#endif
 constexpr size_t kNr = 8;
 
 /// Block sizes, sized for a 32K L1 / 256K+ L2 core: a kKc x kNr strip of
@@ -42,7 +54,39 @@ static_assert(kMc % kMr == 0 && kNc % kNr == 0,
 /// C[0..mr)x[0..nr) += packA(kc x kMr strips) * packB(kc x kNr strips).
 /// The accumulator tile lives in registers for the whole kc loop; the
 /// panel edges are zero-padded, so the arithmetic is always full-tile and
-/// only the writeback is masked.
+/// only the writeback is masked. Each accumulator starts at +0.0 and adds
+/// one product per p, in p order. The AVX-512 path fuses every
+/// multiply-add; the generic loop is fused the same way wherever the
+/// compiler may use FMA (-march=native on an FMA host), so there both
+/// paths give the same bits.
+#if defined(__AVX512F__)
+// Written with intrinsics: GCC vectorizes the generic loop below into
+// eight ymm FMAs plus six shuffles per p, all on one port, so that loop
+// runs at about half this tile's GFLOP/s (DESIGN.md, "Kernel layer").
+void MicroKernel(const double* pa, const double* pb, size_t kc, double* c,
+                 size_t ldc, size_t mr, size_t nr) {
+  __m512d acc[kMr];
+#pragma GCC unroll 8
+  for (size_t i = 0; i < kMr; ++i) acc[i] = _mm512_setzero_pd();
+  for (size_t p = 0; p < kc; ++p) {
+    const __m512d b = _mm512_loadu_pd(pb + p * kNr);
+    const double* ap = pa + p * kMr;
+#pragma GCC unroll 8
+    for (size_t i = 0; i < kMr; ++i) {
+      acc[i] = _mm512_fmadd_pd(_mm512_set1_pd(ap[i]), b, acc[i]);
+    }
+  }
+  const __mmask8 cols = static_cast<__mmask8>((1u << nr) - 1);
+#pragma GCC unroll 8
+  for (size_t i = 0; i < kMr; ++i) {
+    if (i == mr) break;
+    double* crow = c + i * ldc;
+    _mm512_mask_storeu_pd(
+        crow, cols,
+        _mm512_add_pd(_mm512_maskz_loadu_pd(cols, crow), acc[i]));
+  }
+}
+#else
 void MicroKernel(const double* pa, const double* pb, size_t kc, double* c,
                  size_t ldc, size_t mr, size_t nr) {
   double acc[kMr][kNr] = {};
@@ -65,6 +109,7 @@ void MicroKernel(const double* pa, const double* pb, size_t kc, double* c,
     }
   }
 }
+#endif
 
 /// Packs kc x nc of the right operand into kNr-column strips
 /// (strip-major, p-major within a strip), zero-padding the last strip.

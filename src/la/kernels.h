@@ -37,8 +37,11 @@ namespace internal {
 /// Implementation (la/kernels.cc, compiled -O3 and, where supported,
 /// -march=native so the micro-kernel vectorizes):
 ///   - GotoBLAS-style blocking: jc (nc columns) -> pc (kc depth, B panel
-///     packed) -> ic (mc rows, A block packed) -> 4x8 register micro-tiles.
-///     The block sizes are constants of kernels.cc.
+///     packed) -> ic (mc rows, A block packed) -> register micro-tiles,
+///     8x8 where the build targets AVX-512 and 4x8 elsewhere. The tile
+///     height never changes an output's accumulation chain: built with
+///     FMA, both heights give the same bits. The block sizes are constants
+///     of kernels.cc.
 ///   - Packing buffers come from the executing thread's Arena, so the hot
 ///     path allocates nothing in steady state.
 ///   - Parallelism splits the mc row blocks across shards; every output

@@ -1,9 +1,28 @@
 #include "nn/activations.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace newsdiff::nn {
+namespace {
+
+/// `v` where `keep`, else +0.0, without a branch: the comparison becomes
+/// an all-ones or all-zeros mask over the value's bits. A compare and
+/// jump mispredicts on about half of a batch of mixed-sign activations.
+inline double KeepOrZero(bool keep, double v) {
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(v) &
+                               -static_cast<uint64_t>(keep));
+}
+
+/// ReluScalar, bit for bit, over every element: z > 0 keeps z, anything
+/// else (-0.0 and NaN included) becomes +0.0.
+void ReluInPlace(la::Matrix* m) {
+  for (double& v : m->data()) v = KeepOrZero(v > 0.0, v);
+}
+
+}  // namespace
 
 double ReluScalar(double z) { return z > 0.0 ? z : 0.0; }
 
@@ -15,7 +34,7 @@ la::Matrix Activation::Forward(const la::Matrix& input, bool training) {
   la::Matrix out = input;
   switch (kind_) {
     case ActivationKind::kRelu:
-      for (double& v : out.data()) v = ReluScalar(v);
+      ReluInPlace(&out);
       break;
     case ActivationKind::kSigmoid:
       for (double& v : out.data()) v = SigmoidScalar(v);
@@ -31,7 +50,7 @@ la::Matrix Activation::Forward(const la::Matrix& input, bool training) {
 bool Activation::ForwardInPlace(la::Matrix* h) {
   switch (kind_) {
     case ActivationKind::kRelu:
-      for (double& v : h->data()) v = ReluScalar(v);
+      ReluInPlace(h);
       break;
     case ActivationKind::kSigmoid:
       for (double& v : h->data()) v = SigmoidScalar(v);
@@ -49,8 +68,9 @@ la::Matrix Activation::Backward(const la::Matrix& grad_output) {
   auto& g = grad.data();
   switch (kind_) {
     case ActivationKind::kRelu:
+      // +0.0 wherever y <= 0; a NaN y (never a ReLU output) keeps g.
       for (size_t i = 0; i < g.size(); ++i) {
-        if (y[i] <= 0.0) g[i] = 0.0;
+        g[i] = KeepOrZero(!(y[i] <= 0.0), g[i]);
       }
       break;
     case ActivationKind::kSigmoid:

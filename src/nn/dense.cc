@@ -45,6 +45,11 @@ la::Matrix Dense::Forward(const la::Matrix& input, bool training) {
 }
 
 la::Matrix Dense::Backward(const la::Matrix& grad_output) {
+  BackwardParams(grad_output);
+  return la::MatMulTransB(grad_output, w_, par_);
+}
+
+void Dense::BackwardParams(const la::Matrix& grad_output) {
   assert(grad_output.cols() == out_features_);
   assert(input_.rows() == grad_output.rows());
   // Into-variant reuses dw_'s storage: no allocation per minibatch.
@@ -54,7 +59,6 @@ la::Matrix Dense::Backward(const la::Matrix& grad_output) {
   for (size_t r = 0; r < grad_output.rows(); ++r) {
     la::AxpyN(db, grad_output.RowPtr(r), 1.0, out_features_);
   }
-  return la::MatMulTransB(grad_output, w_, par_);
 }
 
 void Dense::Prepack() { packed_ = la::PackMatrixB(w_); }

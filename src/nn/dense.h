@@ -18,6 +18,8 @@ class Dense : public Layer {
 
   la::Matrix Forward(const la::Matrix& input, bool training) override;
   la::Matrix Backward(const la::Matrix& grad_output) override;
+  /// dW and db only: no input-gradient GEMM.
+  void BackwardParams(const la::Matrix& grad_output) override;
   std::vector<Param> Params() override;
   size_t OutputSize(size_t input_size) const override;
   std::string Name() const override { return "Dense"; }

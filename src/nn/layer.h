@@ -28,9 +28,18 @@ class Layer {
   /// Computes the layer output for `input` (batch x in_features).
   virtual la::Matrix Forward(const la::Matrix& input, bool training) = 0;
 
-  /// Given dLoss/dOutput, accumulates parameter gradients and returns
-  /// dLoss/dInput. Must be called after Forward on the same batch.
+  /// Given dLoss/dOutput, stores this batch's parameter gradients in the
+  /// Params() grads and returns dLoss/dInput. Must be called after a
+  /// training Forward on the same batch.
   virtual la::Matrix Backward(const la::Matrix& grad_output) = 0;
+
+  /// Backward for a layer whose dLoss/dInput nobody reads (Model::Fit's
+  /// first layer): stores the same parameter gradients as Backward,
+  /// bitwise, and returns nothing. The default runs Backward and drops
+  /// the input gradient; Dense overrides it to skip that GEMM.
+  virtual void BackwardParams(const la::Matrix& grad_output) {
+    Backward(grad_output);
+  }
 
   /// Inference-only in-place variant: a layer whose output shape equals
   /// its input shape and whose transform is elementwise may mutate `*h`

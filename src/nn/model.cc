@@ -248,10 +248,13 @@ StatusOr<FitHistory> Model::Fit(const la::Matrix& x,
         batch_loss_nonfinite = true;
         break;
       }
+      // The first layer's input gradient would be dLoss/dx, which
+      // nothing reads: ask it for its parameter gradients only.
       la::Matrix grad = lr.grad;
-      for (size_t li = layers_.size(); li-- > 0;) {
+      for (size_t li = layers_.size(); li-- > 1;) {
         grad = layers_[li]->Backward(grad);
       }
+      layers_.front()->BackwardParams(grad);
       std::vector<Param> params = AllParams();
       if (options.clip_norm > 0.0) {
         double sq = 0.0;

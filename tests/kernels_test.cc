@@ -60,13 +60,15 @@ void ExpectBitwise(const Matrix& got, const Matrix& want) {
 
 /// (n, k, m) product shapes covering the panel-edge cases: empty, single
 /// row/column/element, below one micro-tile, straddling tile and block
-/// boundaries, and exact multiples.
+/// boundaries, and exact multiples. Rows 7, 8, 9, 15 and 16 sit below, at
+/// and just past one and two 8-row tiles (the AVX-512 tile height).
 struct Shape {
   size_t n, k, m;
 };
 const Shape kShapes[] = {
-    {0, 0, 0}, {0, 5, 3}, {1, 5, 1},  {5, 1, 5},    {1, 1, 1},
-    {3, 7, 5}, {4, 8, 8}, {17, 33, 9}, {64, 64, 64}, {65, 129, 33},
+    {0, 0, 0},   {0, 5, 3},   {1, 5, 1},   {5, 1, 5},    {1, 1, 1},
+    {3, 7, 5},   {4, 8, 8},   {7, 9, 7},   {8, 16, 8},   {9, 5, 17},
+    {15, 31, 9}, {16, 48, 24}, {17, 33, 9}, {64, 64, 64}, {65, 129, 33},
 };
 
 TEST(BlockedKernels, MatMulAgreesWithNaiveOnEdgeShapes) {

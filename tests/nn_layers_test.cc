@@ -1,6 +1,10 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,14 @@
 
 namespace newsdiff::nn {
 namespace {
+
+/// The bit patterns of `m`'s elements: equal vectors mean bitwise-equal
+/// matrices, -0.0 and NaN included.
+std::vector<uint64_t> Bits(const la::Matrix& m) {
+  std::vector<uint64_t> bits;
+  for (double v : m.data()) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
 
 /// Finite-difference gradient check: perturbs each input (and parameter)
 /// coordinate and compares against the analytic backward pass, using the
@@ -135,6 +147,34 @@ TEST(DenseTest, PrepackedForwardMatchesUnpackedBitwise) {
   }
 }
 
+// Model::Fit asks its first layer for parameter gradients only, so Dense
+// skips the input-gradient GEMM there. dW and db must come out bitwise as
+// the full Backward leaves them, at the served model's hidden-layer shapes
+// for a full minibatch and for the ragged last one.
+TEST(DenseTest, BackwardParamsLeavesTheSameGradientsBitwise) {
+  for (const auto& [in, out] :
+       {std::pair<size_t, size_t>{64, 48}, {48, 24}}) {
+    for (size_t rows : {256, 172}) {
+      Rng rng_a(10), rng_b(10), rng(11);
+      Dense full(in, out, rng_a), params_only(in, out, rng_b);
+      la::Matrix x = la::Matrix::Random(rows, in, -1.0, 1.0, rng);
+      la::Matrix g = la::Matrix::Random(rows, out, -1.0, 1.0, rng);
+      full.Forward(x, /*training=*/true);
+      params_only.Forward(x, /*training=*/true);
+      full.Backward(g);
+      params_only.BackwardParams(g);
+      const std::vector<Param> want = full.Params();
+      const std::vector<Param> got = params_only.Params();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(Bits(*got[i].grad), Bits(*want[i].grad))
+            << want[i].name << ", " << in << " -> " << out << ", " << rows
+            << " rows";
+      }
+    }
+  }
+}
+
 // The pack is dropped by what could make it stale: a training forward (the
 // optimizer step after it moves the weights).
 TEST(DenseTest, TrainingForwardDropsThePack) {
@@ -153,6 +193,44 @@ TEST(ActivationTest, GradientCheckRelu) {
   la::Matrix x = la::Matrix::Random(4, 6, 0.1, 1.0, rng);
   for (size_t i = 0; i < x.size(); i += 2) x.data()[i] *= -1.0;
   CheckGradients(act, x, 1e-4);
+}
+
+// The branch-free ReLU keeps ReluScalar's semantics on every edge input:
+// z > 0 keeps z, and -0.0 and NaN become +0.0 in the training and
+// inference forwards and in place; the gradient is +0.0 wherever y <= 0
+// and the upstream gradient's exact bits (-0.0 included) elsewhere.
+TEST(ActivationTest, ReluEdgeCasesAreBitwiseExact) {
+  using Limits = std::numeric_limits<double>;
+  const double nan = Limits::quiet_NaN();
+  const double inf = Limits::infinity();
+  const double tiny = Limits::denorm_min();
+  la::Matrix z = la::Matrix::FromRows({{-0.0, 0.0, nan, -nan, inf, -inf},
+                                       {tiny, -tiny, 1.0, -1.0, 0.0, 0.0}});
+  la::Matrix upstream =
+      la::Matrix::FromRows({{-1.5, 2.5, -3.5, 4.5, -0.0, -5.5},
+                            {-0.0, 6.5, -7.5, -8.5, 9.5, -0.0}});
+  Activation act(ActivationKind::kRelu);
+  la::Matrix inference = act.Forward(z, /*training=*/false);
+  la::Matrix in_place = z;
+  ASSERT_TRUE(act.ForwardInPlace(&in_place));
+  la::Matrix y = act.Forward(z, /*training=*/true);
+  la::Matrix grad = act.Backward(upstream);
+
+  la::Matrix want_y(z.rows(), z.cols());
+  la::Matrix want_grad(z.rows(), z.cols());
+  for (size_t i = 0; i < z.size(); ++i) {
+    want_y.data()[i] = ReluScalar(z.data()[i]);
+    want_grad.data()[i] =
+        want_y.data()[i] <= 0.0 ? 0.0 : upstream.data()[i];
+  }
+  EXPECT_EQ(Bits(inference), Bits(want_y));
+  EXPECT_EQ(Bits(in_place), Bits(want_y));
+  EXPECT_EQ(Bits(y), Bits(want_y));
+  EXPECT_EQ(Bits(grad), Bits(want_grad));
+  // The reference itself: -0.0 and NaN go to +0.0, not to themselves.
+  EXPECT_EQ(std::bit_cast<uint64_t>(ReluScalar(-0.0)), 0u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(ReluScalar(nan)), 0u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(ReluScalar(-tiny)), 0u);
 }
 
 TEST(ActivationTest, GradientCheckSigmoidTanh) {
