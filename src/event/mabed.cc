@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "text/stopwords.h"
 
@@ -88,18 +87,21 @@ bool Mabed::DocumentBelongsToEvent(const corpus::Document& doc,
   if (doc.timestamp < ev.start_time || doc.timestamp > ev.end_time) {
     return false;
   }
-  bool has_main = false;
-  size_t related_hits = 0;
-  std::unordered_set<uint32_t> related(ev.related_terms.begin(),
-                                       ev.related_terms.end());
-  std::unordered_set<uint32_t> seen;
-  for (uint32_t t : doc.tokens) {
-    if (!seen.insert(t).second) continue;
-    if (t == ev.main_term) has_main = true;
-    if (related.count(t) > 0) ++related_hits;
-  }
-  if (!has_main) return false;
+  // counts lists each distinct term once, sorted by term id: the main word
+  // is a binary search, and a term repeated in the document, or in
+  // related_terms, is one hit.
+  auto it = std::lower_bound(
+      doc.counts.begin(), doc.counts.end(), ev.main_term,
+      [](const corpus::TermCount& tc, uint32_t t) { return tc.term < t; });
+  if (it == doc.counts.end() || it->term != ev.main_term) return false;
   if (ev.related_terms.empty()) return true;
+  size_t related_hits = 0;
+  for (const corpus::TermCount& tc : doc.counts) {
+    if (std::find(ev.related_terms.begin(), ev.related_terms.end(),
+                  tc.term) != ev.related_terms.end()) {
+      ++related_hits;
+    }
+  }
   double frac = static_cast<double>(related_hits) /
                 static_cast<double>(ev.related_terms.size());
   return frac + 1e-12 >= related_fraction;

@@ -86,10 +86,10 @@ class Mabed {
   /// Detection statistics from the last Detect call.
   const MabedStats& stats() const { return stats_; }
 
-  /// True if the document (token ids + timestamp) belongs to `ev` under the
-  /// paper's assignment rule (§4.7): posted inside the event interval and
-  /// containing the main word and at least `related_fraction` of the
-  /// related words.
+  /// True if the document (its term counts + timestamp) belongs to `ev`
+  /// under the paper's assignment rule (§4.7): posted inside the event
+  /// interval and containing the main word and at least `related_fraction`
+  /// of the related words. Each distinct document term counts once.
   static bool DocumentBelongsToEvent(const corpus::Document& doc,
                                      const Event& ev,
                                      double related_fraction = 0.2);

@@ -71,25 +71,16 @@ void Matrix::Scale(double s) {
   for (double& v : data_) v *= s;
 }
 
-void Matrix::HadamardInPlace(const Matrix& other, const Parallelism& par) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  ParallelFor(par, data_.size(), [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) data_[i] *= other.data_[i];
-  });
-}
-
-void Matrix::DivideInPlace(const Matrix& other, double eps,
-                           const Parallelism& par) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  ParallelFor(par, data_.size(), [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) data_[i] /= (other.data_[i] + eps);
-  });
-}
-
-void Matrix::ClampMin(double lo, const Parallelism& par) {
+void Matrix::MultiplicativeUpdate(const Matrix& num, const Matrix& den,
+                                  double eps, double floor,
+                                  const Parallelism& par) {
+  assert(rows_ == num.rows_ && cols_ == num.cols_);
+  assert(rows_ == den.rows_ && cols_ == den.cols_);
   ParallelFor(par, data_.size(), [&](size_t, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      if (data_[i] < lo) data_[i] = lo;
+      double t = data_[i] * num.data_[i];
+      t /= den.data_[i] + eps;
+      data_[i] = t < floor ? floor : t;
     }
   });
 }

@@ -97,16 +97,13 @@ class Matrix {
   /// this *= scalar.
   void Scale(double s);
 
-  /// this = this .* other, elementwise (same shape). Bitwise invariant to
-  /// the parallel configuration (disjoint element writes).
-  void HadamardInPlace(const Matrix& other, const Parallelism& par = {});
-
-  /// this = this ./ (other + eps), elementwise (same shape).
-  void DivideInPlace(const Matrix& other, double eps,
-                     const Parallelism& par = {});
-
-  /// Clamps all entries to be >= lo.
-  void ClampMin(double lo, const Parallelism& par = {});
+  /// One multiplicative update (NMF's Eq. 8), elementwise in one pass:
+  /// t = this .* num, t = t ./ (den + eps), this = (t < floor ? floor : t).
+  /// A NaN stays NaN (it never compares below the floor) and -0.0 rises
+  /// to a positive floor. All three matrices have the same shape. Bitwise
+  /// invariant to the parallel configuration (disjoint element writes).
+  void MultiplicativeUpdate(const Matrix& num, const Matrix& den, double eps,
+                            double floor, const Parallelism& par = {});
 
   /// Sum of all entries.
   double Sum() const;

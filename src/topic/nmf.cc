@@ -73,18 +73,14 @@ StatusOr<NmfResult> Nmf(const la::CsrMatrix& a, const NmfOptions& options) {
       la::Matrix wta = at.MultiplyDense(result.w, par).Transposed();  // k x m
       la::Matrix wtw = la::MatMulTransA(result.w, result.w, par);     // k x k
       la::Matrix denom = la::MatMul(wtw, result.h, par);              // k x m
-      result.h.HadamardInPlace(wta, par);
-      result.h.DivideInPlace(denom, kEps, par);
-      result.h.ClampMin(kFloor, par);
+      result.h.MultiplicativeUpdate(wta, denom, kEps, kFloor, par);
     }
     // W update: W .* (A H^T) ./ (W H H^T + eps).
     {
       la::Matrix aht = a.MultiplyDenseTransposed(result.h, par);  // n x k
       la::Matrix hht = la::MatMulTransB(result.h, result.h, par); // k x k
       la::Matrix denom = la::MatMul(result.w, hht, par);          // n x k
-      result.w.HadamardInPlace(aht, par);
-      result.w.DivideInPlace(denom, kEps, par);
-      result.w.ClampMin(kFloor, par);
+      result.w.MultiplicativeUpdate(aht, denom, kEps, kFloor, par);
     }
     result.iterations = iter;
 

@@ -4,7 +4,10 @@
 // the CSR products against the serial scatter loop, and the 64-byte
 // alignment invariant of Matrix storage. The ParallelKernels suite runs
 // under tsan in CI (selected by the `Parallel` test-name regex).
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -50,11 +53,20 @@ void ExpectNear(const Matrix& got, const Matrix& want, double rel) {
   }
 }
 
+/// Equal bit patterns, so +0.0 and -0.0 differ. Two NaNs match whatever
+/// their payloads: when two NaNs meet, x86 keeps the first operand's, and
+/// the compiler may commute a multiply or an add.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
 void ExpectBitwise(const Matrix& got, const Matrix& want) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
   for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got.data()[i], want.data()[i]) << "flat index " << i;
+    EXPECT_PRED2(SameBits, got.data()[i], want.data()[i])
+        << "flat index " << i;
   }
 }
 
@@ -149,31 +161,91 @@ TEST(NaiveKernels, MatMulBitwiseMatchesLegacyLoop) {
   ExpectBitwise(sharded, legacy);
 }
 
-// Both CSR products against the serial scatter loop of
-// TransposeMultiplyDense over the transposed matrix, which visits each
-// output row's nonzeros in the same ascending-column order: at NMF's
-// width (num_topics = 24) and at a width above 256, serially and sharded.
+/// The CSR row product as one AxpyN per nonzero, the scalar loop both CSR
+/// products ran before their register-resident row kernel.
+Matrix AxpyRowProduct(const CsrMatrix& a, const Matrix& d) {
+  Matrix out(a.rows(), d.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t p = a.row_ptr()[r]; p < a.row_ptr()[r + 1]; ++p) {
+      AxpyN(out.RowPtr(r), d.RowPtr(a.col_idx()[p]), a.values()[p], d.cols());
+    }
+  }
+  return out;
+}
+
+/// <A, W*H> over A's nonzeros reading h down its columns, the loop
+/// InnerProductWithProduct ran before it transposed h.
+double ColumnReadInnerProduct(const CsrMatrix& a, const Matrix& w,
+                              const Matrix& h) {
+  double total = 0.0;
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t p = a.row_ptr()[r]; p < a.row_ptr()[r + 1]; ++p) {
+      double wh = 0.0;
+      for (size_t j = 0; j < w.cols(); ++j) {
+        wh += w(r, j) * h(j, a.col_idx()[p]);
+      }
+      total += a.values()[p] * wh;
+    }
+  }
+  return total;
+}
+
+/// Rows of `d` that the CSR test matrix's columns select: row 3 all -0.0,
+/// and +inf, -inf and NaN placed so some output elements sum them with
+/// finite terms (+inf and -inf meet in rows holding columns 10 and 20).
+Matrix WithSpecials(Matrix d) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t j = 0; j < d.cols(); ++j) d(3, j) = -0.0;
+  d(10, 0) = inf;
+  d(20, 0) = -inf;
+  d(20, d.cols() - 1) = -inf;
+  d(30, d.cols() - 1) = std::numeric_limits<double>::quiet_NaN();
+  return d;
+}
+
+// Both CSR products against two references that visit each output row's
+// nonzeros in the same ascending-column order: the serial scatter loop of
+// TransposeMultiplyDense over the transposed matrix, and one AxpyN per
+// nonzero. Widths 1-9, 16, 24 (NMF's num_topics), 25, 31-33 and 40 take
+// every accumulator count of the AVX-512 row kernel, every masked tail
+// and a second 32-column block; 300 takes ten blocks. The matrix has an
+// empty row and an empty column, and the dense side holds -0.0, +-inf and
+// NaN. Serially and sharded. InnerProductWithProduct is checked against
+// its column-read loop at every width.
 TEST(CsrKernels, ProductsAreBitwiseEqualToTheScatterLoop) {
+  constexpr uint32_t kEmptyRow = 57, kEmptyCol = 41;
   Rng rng(16);
   std::vector<Triplet> t;
   for (size_t i = 0; i < 900; ++i) {
-    t.push_back({static_cast<uint32_t>(rng.NextBelow(120)),
-                 static_cast<uint32_t>(rng.NextBelow(90)),
-                 rng.NextDouble() + 0.1});
+    const auto r = static_cast<uint32_t>(rng.NextBelow(120));
+    const auto c = static_cast<uint32_t>(rng.NextBelow(90));
+    const double v = rng.NextDouble() + 0.1;
+    if (r != kEmptyRow && c != kEmptyCol) t.push_back({r, c, v});
   }
   CsrMatrix csr = CsrMatrix::FromTriplets(120, 90, t);
+  ASSERT_EQ(csr.row_ptr()[kEmptyRow], csr.row_ptr()[kEmptyRow + 1]);
   const CsrMatrix csr_t = csr.Transposed();
-  for (size_t width : {24ul, 300ul}) {
+  ASSERT_EQ(csr_t.row_ptr()[kEmptyCol], csr_t.row_ptr()[kEmptyCol + 1]);
+  for (size_t width : {1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul, 16ul,
+                       24ul, 25ul, 31ul, 32ul, 33ul, 40ul, 300ul}) {
     SCOPED_TRACE("width=" + std::to_string(width));
-    Matrix d = RandomMatrix(90, width, 17);
-    Matrix dt = RandomMatrix(width, 90, 18);
+    const Matrix d = WithSpecials(RandomMatrix(90, width, 17));
+    const Matrix dt = WithSpecials(RandomMatrix(90, width, 18)).Transposed();
     const Matrix want = csr_t.TransposeMultiplyDense(d);
     const Matrix want_t = csr_t.TransposeMultiplyDense(dt.Transposed());
+    ExpectBitwise(AxpyRowProduct(csr, d), want);
+    ExpectBitwise(AxpyRowProduct(csr, dt.Transposed()), want_t);
     for (size_t threads : {1ul, 4ul}) {
       ExpectBitwise(csr.MultiplyDense(d, Threads(threads)), want);
       ExpectBitwise(csr.MultiplyDenseTransposed(dt, Threads(threads)),
                     want_t);
     }
+    const Matrix w = RandomMatrix(120, width, 19);
+    EXPECT_PRED2(SameBits, csr.InnerProductWithProduct(w, dt),
+                 ColumnReadInnerProduct(csr, w, dt));
+    const Matrix finite = RandomMatrix(width, 90, 20);
+    EXPECT_PRED2(SameBits, csr.InnerProductWithProduct(w, finite),
+                 ColumnReadInnerProduct(csr, w, finite));
   }
 }
 

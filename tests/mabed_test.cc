@@ -205,7 +205,11 @@ TEST(DocumentBelongsToEventTest, RuleComponents) {
   corpus::Corpus corp;
   size_t d = corp.AddDocument({"quake", "rescue", "city", "filler"},
                               /*timestamp=*/1000);
+  size_t r = corp.AddDocument({"rescue", "quake", "rescue", "quake", "rescue",
+                               "filler", "filler"},
+                              /*timestamp=*/1000);
   const corpus::Document& doc = corp.doc(d);
+  const corpus::Document& repeats = corp.doc(r);
 
   Event ev;
   ev.main_term = corp.vocabulary().Get("quake");
@@ -238,6 +242,44 @@ TEST(DocumentBelongsToEventTest, RuleComponents) {
   Event bare = ev;
   bare.related_terms.clear();
   EXPECT_TRUE(Mabed::DocumentBelongsToEvent(doc, bare, 0.2));
+  // ... but not without it.
+  Event bare_other = other;
+  bare_other.related_terms.clear();
+  EXPECT_FALSE(Mabed::DocumentBelongsToEvent(doc, bare_other, 0.0));
+
+  // The interval is closed at both ends.
+  Event at_start = ev;
+  at_start.start_time = 1000;
+  EXPECT_TRUE(Mabed::DocumentBelongsToEvent(doc, at_start, 0.2));
+  Event at_end = ev;
+  at_end.end_time = 1000;
+  EXPECT_TRUE(Mabed::DocumentBelongsToEvent(doc, at_end, 0.2));
+  Event just_after = ev;
+  just_after.end_time = 999;
+  EXPECT_FALSE(Mabed::DocumentBelongsToEvent(doc, just_after, 0.2));
+  Event just_before = ev;
+  just_before.start_time = 1001;
+  EXPECT_FALSE(Mabed::DocumentBelongsToEvent(doc, just_before, 0.2));
+
+  // Repeated tokens count once: "rescue" three times is still 1 of 5
+  // related words (20%), and the repeated main word changes nothing.
+  EXPECT_TRUE(Mabed::DocumentBelongsToEvent(repeats, ev, 0.2));
+  EXPECT_FALSE(Mabed::DocumentBelongsToEvent(repeats, ev, 0.21));
+  // The main word is also a related hit when it is listed among the
+  // related words: "quake" and "rescue" are 2 of 5.
+  Event main_related = ev;
+  main_related.related_terms[1] = ev.main_term;
+  EXPECT_TRUE(Mabed::DocumentBelongsToEvent(doc, main_related, 0.4));
+  EXPECT_FALSE(Mabed::DocumentBelongsToEvent(doc, main_related, 0.41));
+
+  // A duplicated related term is one hit for the document but two entries
+  // of the denominator: "city" twice makes 2 hits of 6 related words.
+  Event dup = ev;
+  dup.related_terms.push_back(corp.vocabulary().Get("city"));
+  EXPECT_TRUE(Mabed::DocumentBelongsToEvent(doc, dup, 2.0 / 6.0));
+  EXPECT_FALSE(Mabed::DocumentBelongsToEvent(doc, dup, 0.34));
+  EXPECT_FALSE(Mabed::DocumentBelongsToEvent(repeats, dup, 0.2));
+  EXPECT_TRUE(Mabed::DocumentBelongsToEvent(repeats, dup, 1.0 / 6.0));
 }
 
 /// Property sweep over slice widths: the planted burst is found regardless

@@ -1,8 +1,13 @@
 #include "la/matrix.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace newsdiff::la {
 namespace {
@@ -58,13 +63,16 @@ TEST(MatrixTest, AddSubScale) {
   EXPECT_EQ(a(0, 0), 2.0);
 }
 
+// The multiply and divide halves of the fused multiplicative update.
 TEST(MatrixTest, HadamardAndDivide) {
   Matrix a = Make({{2, 4}});
-  Matrix b = Make({{3, 5}});
-  a.HadamardInPlace(b);
+  a.MultiplicativeUpdate(Make({{3, 5}}), Make({{1, 1}}), 0.0, 0.0);
   EXPECT_EQ(a(0, 0), 6.0);
   EXPECT_EQ(a(0, 1), 20.0);
-  a.DivideInPlace(b, 0.0);
+  a.MultiplicativeUpdate(Make({{1, 1}}), Make({{3, 5}}), 0.0, 0.0);
+  EXPECT_EQ(a(0, 0), 2.0);
+  EXPECT_EQ(a(0, 1), 4.0);
+  a.MultiplicativeUpdate(Make({{3, 5}}), Make({{3, 5}}), 0.0, 0.0);
   EXPECT_EQ(a(0, 0), 2.0);
   EXPECT_EQ(a(0, 1), 4.0);
 }
@@ -72,15 +80,82 @@ TEST(MatrixTest, HadamardAndDivide) {
 TEST(MatrixTest, DivideEpsilonAvoidsInf) {
   Matrix a = Make({{1.0}});
   Matrix zero = Make({{0.0}});
-  a.DivideInPlace(zero, 1e-9);
+  a.MultiplicativeUpdate(Make({{1.0}}), zero, 1e-9, 0.0);
   EXPECT_TRUE(std::isfinite(a(0, 0)));
+  EXPECT_EQ(a(0, 0), 1.0 / 1e-9);
+  // eps is added to the denominator before dividing, not to the quotient.
+  Matrix b = Make({{3.0}});
+  b.MultiplicativeUpdate(Make({{1.0}}), Make({{1.0}}), 0.5, 0.0);
+  EXPECT_EQ(b(0, 0), 3.0 / 1.5);
 }
 
+// The floor of the fused multiplicative update: values below it rise to
+// it, a NaN stays NaN (it never compares below the floor), -0.0 rises to a
+// positive floor and stays -0.0 at a zero floor, +inf stays.
 TEST(MatrixTest, ClampMin) {
-  Matrix a = Make({{-1, 0.5}});
-  a.ClampMin(0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Matrix ones = Make({{1, 1, 1, 1, 1}});
+  Matrix a = Make({{-1, 0.5, nan, -0.0, inf}});
+  a.MultiplicativeUpdate(ones, ones, 0.0, 0.0);
   EXPECT_EQ(a(0, 0), 0.0);
+  EXPECT_FALSE(std::signbit(a(0, 0)));
   EXPECT_EQ(a(0, 1), 0.5);
+  EXPECT_TRUE(std::isnan(a(0, 2)));
+  EXPECT_EQ(a(0, 3), 0.0);
+  EXPECT_TRUE(std::signbit(a(0, 3)));
+  EXPECT_EQ(a(0, 4), inf);
+  a.MultiplicativeUpdate(ones, ones, 0.0, 1e-10);
+  EXPECT_EQ(a(0, 0), 1e-10);
+  EXPECT_EQ(a(0, 1), 0.5);
+  EXPECT_TRUE(std::isnan(a(0, 2)));
+  EXPECT_EQ(a(0, 3), 1e-10);
+  EXPECT_EQ(a(0, 4), inf);
+}
+
+/// Equal bit patterns; two NaNs match whatever their payloads, which
+/// follow operand order when two NaNs meet.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// The fused update against the three passes it replaced (multiply, then
+// divide by den + eps, then clamp to the floor), kept here as the
+// reference, over random values mixed with 0, -0.0, +-inf and NaN.
+TEST(MatrixTest, MultiplicativeUpdateBitwiseEqualsThreePasses) {
+  const double specials[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1e-300, -1e-12};
+  Rng rng(31);
+  auto random = [&] {
+    Matrix m(9, 37);
+    for (double& v : m.data()) {
+      v = rng.NextBelow(6) == 0 ? specials[rng.NextBelow(7)]
+                                : rng.Uniform(-1.0, 4.0);
+    }
+    return m;
+  };
+  const Matrix x = random(), num = random(), den = random();
+  for (double eps : {0.0, 1e-12}) {
+    for (double floor : {0.0, 1e-10}) {
+      Matrix want = x;
+      for (size_t i = 0; i < want.size(); ++i) want.data()[i] *= num.data()[i];
+      for (size_t i = 0; i < want.size(); ++i) {
+        want.data()[i] /= (den.data()[i] + eps);
+      }
+      for (double& v : want.data()) {
+        if (v < floor) v = floor;
+      }
+      Matrix got = x;
+      got.MultiplicativeUpdate(num, den, eps, floor);
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_PRED2(SameBits, got.data()[i], want.data()[i])
+            << "flat index " << i << " eps " << eps << " floor " << floor;
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, Norms) {
