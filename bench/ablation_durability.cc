@@ -8,15 +8,15 @@
 // uninterrupted fault-free run. Stage two (`wal_vs_snapshot`) measures the
 // bytes each durability strategy pays to persist a 1% document delta and
 // gates on the WAL being at least 5x cheaper. Results land in
-// BENCH_durability.json (see --out).
+// BENCH_durability.json (see --out), in the report format of
+// bench/report.h.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
-#include "common/table_printer.h"
+#include "bench/report.h"
 #include "core/checkpoint.h"
 #include "core/embedding_cache.h"
 #include "core/supervisor.h"
@@ -84,22 +84,12 @@ class CountingFileIo : public FileIo {
   size_t appends_ = 0;
 };
 
-/// Stage-two results: the cost of durably persisting a 1% delta.
-struct WalVsSnapshot {
-  size_t docs = 0;
-  size_t delta_docs = 0;
-  size_t snapshot_bytes = 0;  // full SaveToDir generation
-  size_t wal_bytes = 0;       // group-commit appends for the same delta
-  double snapshot_ms = 0.0;
-  double wal_ms = 0.0;
-  double bytes_ratio = 0.0;  // snapshot_bytes / wal_bytes
-};
-
 constexpr double kMinBytesRatio = 5.0;
+constexpr uint64_t kWorldSeed = 77;
 
 datagen::World BenchWorld() {
   datagen::WorldOptions opts;
-  opts.seed = 77;
+  opts.seed = kWorldSeed;
   opts.num_users = 200;
   opts.num_articles = 400;
   opts.num_tweets = 1200;
@@ -134,28 +124,15 @@ std::string StageFingerprint(const store::Database& db) {
   return out;
 }
 
-/// One row of the stage-one fault sweep, kept for the JSON report.
-struct SweepRow {
-  double rate = 0.0;
-  size_t kills = 0;
-  size_t recovered = 0;
-  size_t reboots = 0;
-  size_t resumed = 0;
-  size_t computed = 0;
-  size_t gens_skipped = 0;
-  double wall_ms = 0.0;
-  bool exact = true;
-};
-
 /// Stage two: build the store from the bench world, checkpoint it, then
 /// refresh 1% of the documents and compare what each durability strategy
 /// sends to disk — an O(delta) WAL group commit vs an O(store) snapshot
-/// generation.
-StatusOr<WalVsSnapshot> RunWalVsSnapshot(datagen::World& world,
-                                         const std::filesystem::path& root) {
+/// generation. Records the `wal_vs_snapshot.*` rows, gated on the WAL
+/// syncing at least kMinBytesRatio times fewer bytes.
+Status RunWalVsSnapshot(datagen::World& world,
+                        const std::filesystem::path& root,
+                        bench::Report& report) {
   namespace fs = std::filesystem;
-  WalVsSnapshot r;
-
   CountingFileIo wal_io(DefaultFileIo());
   const std::string wal_dir = (root / "wal_vs_snapshot").string();
   fs::remove_all(wal_dir);
@@ -168,11 +145,11 @@ StatusOr<WalVsSnapshot> RunWalVsSnapshot(datagen::World& world,
   NEWSDIFF_RETURN_IF_ERROR(db.AttachWal(wal_dir, wal));
   NEWSDIFF_RETURN_IF_ERROR(db.Checkpoint(snapshot));  // generation 1 baseline
 
+  size_t docs = 0;
   for (const std::string& name : db.CollectionNames()) {
-    r.docs += db.Get(name)->size();
+    docs += db.Get(name)->size();
   }
-  r.delta_docs = r.docs / 100;  // the 1% refresh
-  if (r.delta_docs == 0) r.delta_docs = 1;
+  const size_t delta_docs = docs >= 100 ? docs / 100 : 1;  // the 1% refresh
 
   // The delta: a metadata touch on 1% of the tweets (the paper's two-hour
   // refresh updates engagement counts on already-crawled documents).
@@ -181,12 +158,12 @@ StatusOr<WalVsSnapshot> RunWalVsSnapshot(datagen::World& world,
   tweets.ForEach(store::Filter(),
                  [&](store::DocId id, const store::Value&) {
                    ids.push_back(id);
-                   return ids.size() < r.delta_docs;
+                   return ids.size() < delta_docs;
                  });
 
   wal_io.ResetCounters();
   Status synced = Status::OK();
-  r.wal_ms = 1000.0 * bench::TimedSeconds([&] {
+  const double wal_ms = 1000.0 * bench::TimedSeconds([&] {
     for (store::DocId id : ids) {
       tweets.UpdateSet(
           store::Filter().Eq("_id", store::Value(static_cast<int64_t>(id))),
@@ -195,7 +172,7 @@ StatusOr<WalVsSnapshot> RunWalVsSnapshot(datagen::World& world,
     synced = db.WalSync();
   });
   NEWSDIFF_RETURN_IF_ERROR(synced);
-  r.wal_bytes = wal_io.total_bytes();
+  const size_t wal_bytes = wal_io.total_bytes();
 
   // The same store persisted the snapshot way: one full generation.
   CountingFileIo snap_io(DefaultFileIo());
@@ -204,62 +181,39 @@ StatusOr<WalVsSnapshot> RunWalVsSnapshot(datagen::World& world,
   store::SnapshotOptions full;
   full.io = &snap_io;
   Status saved = Status::OK();
-  r.snapshot_ms = 1000.0 * bench::TimedSeconds(
-                               [&] { saved = db.SaveToDir(snap_dir, full); });
+  const double snapshot_ms = 1000.0 * bench::TimedSeconds([&] {
+    saved = db.SaveToDir(snap_dir, full);
+  });
   NEWSDIFF_RETURN_IF_ERROR(saved);
-  r.snapshot_bytes = snap_io.total_bytes();
+  const size_t snapshot_bytes = snap_io.total_bytes();
+  const double bytes_ratio =
+      wal_bytes > 0 ? static_cast<double>(snapshot_bytes) /
+                          static_cast<double>(wal_bytes)
+                    : 0.0;
 
-  r.bytes_ratio = r.wal_bytes > 0 ? static_cast<double>(r.snapshot_bytes) /
-                                        static_cast<double>(r.wal_bytes)
-                                  : 0.0;
-  return r;
-}
-
-bool WriteJson(const std::vector<SweepRow>& sweep, const WalVsSnapshot& w,
-               bool gates_ok, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"gate_min_bytes_ratio\": %.1f,\n", kMinBytesRatio);
-  std::fprintf(f, "  \"gates_ok\": %s,\n", gates_ok ? "true" : "false");
-  std::fprintf(f, "  \"wal_vs_snapshot\": {\n");
-  std::fprintf(f, "    \"docs\": %zu,\n", w.docs);
-  std::fprintf(f, "    \"delta_docs\": %zu,\n", w.delta_docs);
-  std::fprintf(f, "    \"snapshot_bytes\": %zu,\n", w.snapshot_bytes);
-  std::fprintf(f, "    \"wal_bytes\": %zu,\n", w.wal_bytes);
-  std::fprintf(f, "    \"bytes_ratio\": %.1f,\n", w.bytes_ratio);
-  std::fprintf(f, "    \"snapshot_ms\": %.2f,\n", w.snapshot_ms);
-  std::fprintf(f, "    \"wal_ms\": %.2f\n", w.wal_ms);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fault_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& s = sweep[i];
-    std::fprintf(f,
-                 "    {\"fault_rate\": %.2f, \"kills\": %zu, "
-                 "\"recovered\": %zu, \"reboots\": %zu, \"resumed\": %zu, "
-                 "\"recomputed\": %zu, \"gens_skipped\": %zu, "
-                 "\"wall_ms\": %.1f, \"outputs_exact\": %s}%s\n",
-                 s.rate, s.kills, s.recovered, s.reboots, s.resumed,
-                 s.computed, s.gens_skipped, s.wall_ms,
-                 s.exact ? "true" : "false",
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+  using bench::Better;
+  report.Add("wal_vs_snapshot.docs", static_cast<double>(docs), "docs",
+             Better::kNone);
+  report.Add("wal_vs_snapshot.delta_docs", static_cast<double>(delta_docs),
+             "docs", Better::kNone);
+  report.Add("wal_vs_snapshot.snapshot_bytes",
+             static_cast<double>(snapshot_bytes), "bytes", Better::kLower,
+             bench::kExact);
+  report.Add("wal_vs_snapshot.wal_bytes", static_cast<double>(wal_bytes),
+             "bytes", Better::kLower, bench::kExact);
+  report.AtLeast("wal_vs_snapshot.bytes_ratio", bytes_ratio, kMinBytesRatio,
+                 "x");
+  report.Add("wal_vs_snapshot.snapshot_ms", snapshot_ms, "ms", Better::kLower);
+  report.Add("wal_vs_snapshot.wal_ms", wal_ms, "ms", Better::kLower);
+  return Status::OK();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
-  std::string out_path = "BENCH_durability.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  bench::Report report("ablation_durability", "BENCH_durability.json",
+                       kWorldSeed, argc, argv, /*has_smoke=*/false);
   std::printf("=== Ablation: pipeline durability vs storage fault rate "
               "===\n\n");
 
@@ -287,17 +241,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string want_fingerprint = StageFingerprint(base_db);
-  const size_t total_stages =
-      sizeof(core::kStageNames) / sizeof(core::kStageNames[0]);
 
   const fs::path root =
       fs::temp_directory_path() / "newsdiff_ablation_durability";
   fs::remove_all(root);
 
-  std::vector<SweepRow> sweep;
-  TablePrinter table({"Fault rate", "Kills", "Recovered", "Reboots",
-                      "Stages resumed", "Stages recomputed", "Gens skipped",
-                      "Wall ms", "Outputs"});
   for (double rate : {0.0, 0.05, 0.10, 0.20}) {
     size_t kills = 0, recovered_runs = 0, total_reboots = 0;
     size_t resumed = 0, computed = 0, gens_skipped = 0;
@@ -360,67 +308,36 @@ int main(int argc, char** argv) {
       }
     });
 
-    char rate_buf[16], wall_buf[24], resumed_buf[32];
+    // Resumed = ledger entries honoured after a reboot (NMF/MABED work the
+    // rerun did not repeat); recomputed = stages the interrupted run had
+    // not yet durably finished.
+    using bench::Better;
+    char rate_buf[16];
     std::snprintf(rate_buf, sizeof(rate_buf), "%.2f", rate);
-    std::snprintf(wall_buf, sizeof(wall_buf), "%.1f", wall_ms);
-    std::snprintf(resumed_buf, sizeof(resumed_buf), "%zu/%zu", resumed,
-                  kills * total_stages);
-    table.AddRow({rate_buf, std::to_string(kills),
-                  std::to_string(recovered_runs),
-                  std::to_string(total_reboots), resumed_buf,
-                  std::to_string(computed), std::to_string(gens_skipped),
-                  wall_buf, all_exact ? "exact" : "DIVERGED"});
-    SweepRow row;
-    row.rate = rate;
-    row.kills = kills;
-    row.recovered = recovered_runs;
-    row.reboots = total_reboots;
-    row.resumed = resumed;
-    row.computed = computed;
-    row.gens_skipped = gens_skipped;
-    row.wall_ms = wall_ms;
-    row.exact = all_exact;
-    sweep.push_back(row);
+    const std::string prefix =
+        std::string("fault_sweep.rate_") + rate_buf + ".";
+    report.Add(prefix + "kills", static_cast<double>(kills), "runs",
+               Better::kNone);
+    report.Add(prefix + "recovered", static_cast<double>(recovered_runs),
+               "runs", Better::kHigher);
+    report.Add(prefix + "reboots", static_cast<double>(total_reboots),
+               "reboots", Better::kLower);
+    report.Add(prefix + "resumed", static_cast<double>(resumed), "stages",
+               Better::kHigher);
+    report.Add(prefix + "recomputed", static_cast<double>(computed), "stages",
+               Better::kLower);
+    report.Add(prefix + "gens_skipped", static_cast<double>(gens_skipped),
+               "generations", Better::kLower);
+    report.Add(prefix + "wall_ms", wall_ms, "ms", Better::kLower);
+    report.Add(prefix + "outputs_exact", all_exact ? 1.0 : 0.0, "bool",
+               Better::kHigher, bench::kExact);
   }
-  table.Print();
-  std::printf(
-      "\nStages resumed = ledger entries honoured after reboot (NMF/MABED\n"
-      "work the rerun did not repeat); recomputed = stages the interrupted\n"
-      "run had not yet durably finished.\n");
 
-  std::printf("\n=== wal_vs_snapshot: bytes to persist a 1%% delta ===\n\n");
-  auto wvs = RunWalVsSnapshot(world, root);
-  if (!wvs.ok()) {
-    std::printf("wal_vs_snapshot stage failed: %s\n",
-                wvs.status().ToString().c_str());
-    fs::remove_all(root);
-    return 1;
-  }
-  TablePrinter wtable({"Strategy", "Bytes", "Wall ms"});
-  char snap_ms[24], wal_ms[24];
-  std::snprintf(snap_ms, sizeof(snap_ms), "%.2f", wvs->snapshot_ms);
-  std::snprintf(wal_ms, sizeof(wal_ms), "%.2f", wvs->wal_ms);
-  wtable.AddRow({"snapshot (full generation)",
-                 std::to_string(wvs->snapshot_bytes), snap_ms});
-  wtable.AddRow({"wal (group commit)", std::to_string(wvs->wal_bytes),
-                 wal_ms});
-  wtable.Print();
-  std::printf(
-      "\n%zu docs, %zu touched (1%%): WAL syncs %.1fx fewer bytes than a\n"
-      "full snapshot generation (gate: >= %.1fx).\n",
-      wvs->docs, wvs->delta_docs, wvs->bytes_ratio, kMinBytesRatio);
-
-  const bool gates_ok = wvs->bytes_ratio >= kMinBytesRatio;
-  if (!WriteJson(sweep, *wvs, gates_ok, out_path)) {
-    std::printf("failed to write %s\n", out_path.c_str());
-    fs::remove_all(root);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!gates_ok) {
-    std::printf("GATE FAILED: bytes_ratio %.1f < %.1f\n", wvs->bytes_ratio,
-                kMinBytesRatio);
-  }
+  const Status wvs = RunWalVsSnapshot(world, root, report);
   fs::remove_all(root);
-  return gates_ok ? 0 : 1;
+  if (!wvs.ok()) {
+    std::printf("wal_vs_snapshot stage failed: %s\n", wvs.ToString().c_str());
+    return 1;
+  }
+  return report.Finish();
 }

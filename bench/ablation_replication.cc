@@ -10,15 +10,16 @@
 // under the same read chaos, and gates on the promoted store being
 // byte-identical to the writer's acknowledged synced prefix with the
 // revived stale writer fenced every time. Results land in
-// BENCH_replication.json (see --out).
+// BENCH_replication.json (see --out), in the report format of
+// bench/report.h.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
-#include "common/table_printer.h"
+#include "bench/report.h"
 #include "datagen/faults.h"
 #include "store/database.h"
 #include "store/json.h"
@@ -117,6 +118,9 @@ bool ApplyOp(store::Database& db, int j) {
 }
 
 constexpr int kScriptOps = 30;
+/// The staleness stage's replica fault seed; the chaos sweep seeds each
+/// crash point's replica faults from 5000 + its index.
+constexpr uint64_t kSeed = 4242;
 
 std::vector<std::string> ReferenceStates() {
   std::vector<std::string> states;
@@ -141,18 +145,12 @@ datagen::StorageFaultOptions ReplicaFaults(uint64_t seed) {
 // -------------------------------------------------------------------------
 // Stage one: catch-up bytes are O(delta).
 
-struct CatchupDelta {
-  size_t docs = 0;
-  size_t delta_docs = 0;
-  size_t bootstrap_bytes = 0;  // cold replica: snapshot + full tail
-  size_t catchup_bytes = 0;    // caught-up replica absorbing the delta
-  double bytes_ratio = 0.0;    // bootstrap_bytes / catchup_bytes
-};
-
 constexpr double kMinCatchupRatio = 5.0;
 
-StatusOr<CatchupDelta> RunCatchupDelta(const fs::path& root) {
-  CatchupDelta r;
+/// Records the `catchup_delta.*` rows: the bytes a cold replica reads
+/// (snapshot + full tail) against the bytes a caught-up replica reads to
+/// absorb the delta, gated on their ratio.
+Status RunCatchupDelta(const fs::path& root, bench::Report& report) {
   const std::string dir = (root / "catchup").string();
   fs::remove_all(dir);
 
@@ -160,8 +158,8 @@ StatusOr<CatchupDelta> RunCatchupDelta(const fs::path& root) {
   store::WalOptions wal;
   NEWSDIFF_RETURN_IF_ERROR(db.AttachWal(dir, wal));
   store::Collection& articles = db.GetOrCreate("articles");
-  r.docs = 2000;
-  for (size_t i = 0; i < r.docs; ++i) {
+  const size_t docs = 2000;
+  for (size_t i = 0; i < docs; ++i) {
     StatusOr<store::DocId> id = articles.Insert(store::MakeObject(
         {{"k", static_cast<int64_t>(i)},
          {"score", static_cast<int64_t>(i * 17 % 1000)},
@@ -181,11 +179,11 @@ StatusOr<CatchupDelta> RunCatchupDelta(const fs::path& root) {
   if (!rep.stats().caught_up) {
     return Status::Internal("replica not caught up after bootstrap");
   }
-  r.bootstrap_bytes = rio.bytes_read();
+  const size_t bootstrap_bytes = rio.bytes_read();
 
   // A 1% metadata refresh, then one incremental poll.
-  r.delta_docs = r.docs / 100;
-  for (size_t i = 0; i < r.delta_docs; ++i) {
+  const size_t delta_docs = docs / 100;
+  for (size_t i = 0; i < delta_docs; ++i) {
     articles.UpdateSet(
         store::Filter().Eq("k", store::Value(static_cast<int64_t>(i))),
         "touched", store::Value(static_cast<int64_t>(1)));
@@ -196,36 +194,40 @@ StatusOr<CatchupDelta> RunCatchupDelta(const fs::path& root) {
   if (!rep.stats().caught_up) {
     return Status::Internal("replica not caught up after delta poll");
   }
-  r.catchup_bytes = rio.bytes_read();
+  const size_t catchup_bytes = rio.bytes_read();
   if (Fingerprint(rdb) != Fingerprint(db)) {
     return Status::Internal("replica diverged from writer");
   }
+  const double bytes_ratio = catchup_bytes > 0
+                                 ? static_cast<double>(bootstrap_bytes) /
+                                       static_cast<double>(catchup_bytes)
+                                 : 0.0;
 
-  r.bytes_ratio = r.catchup_bytes > 0
-                      ? static_cast<double>(r.bootstrap_bytes) /
-                            static_cast<double>(r.catchup_bytes)
-                      : 0.0;
-  return r;
+  using bench::Better;
+  report.Add("catchup_delta.docs", static_cast<double>(docs), "docs",
+             Better::kNone);
+  report.Add("catchup_delta.delta_docs", static_cast<double>(delta_docs),
+             "docs", Better::kNone);
+  report.Add("catchup_delta.bootstrap_bytes",
+             static_cast<double>(bootstrap_bytes), "bytes", Better::kLower,
+             bench::kExact);
+  report.Add("catchup_delta.catchup_bytes", static_cast<double>(catchup_bytes),
+             "bytes", Better::kLower, bench::kExact);
+  report.AtLeast("catchup_delta.bytes_ratio", bytes_ratio, kMinCatchupRatio,
+                 "x");
+  return Status::OK();
 }
 
 // -------------------------------------------------------------------------
 // Stage two: bounded staleness through read chaos.
 
-struct StalenessRun {
-  size_t ticks = 0;
-  int64_t tick_ms = 0;
-  size_t read_failures = 0;
-  int64_t max_staleness_ms = 0;
-  int64_t final_staleness_ms = 0;
-  bool caught_up = false;
-};
-
 constexpr int64_t kStalenessBoundMs = 2000;
 
-StatusOr<StalenessRun> RunStaleness(const fs::path& root) {
-  StalenessRun r;
-  r.ticks = 200;
-  r.tick_ms = 100;
+/// Records the `staleness.*` rows, gated on the replica ending caught up
+/// with zero staleness and never lagging past kStalenessBoundMs.
+Status RunStaleness(const fs::path& root, bench::Report& report) {
+  const size_t ticks = 200;
+  const int64_t tick_ms = 100;
   const std::string dir = (root / "staleness").string();
   fs::remove_all(dir);
 
@@ -236,7 +238,7 @@ StatusOr<StalenessRun> RunStaleness(const fs::path& root) {
   wal.sync_every_records = 1;
   NEWSDIFF_RETURN_IF_ERROR(db.AttachWal(dir, wal));
 
-  datagen::FaultyFileIo rio(DefaultFileIo(), ReplicaFaults(4242));
+  datagen::FaultyFileIo rio(DefaultFileIo(), ReplicaFaults(kSeed));
   store::ReplicaOptions opts;
   opts.snapshot.io = &rio;
   opts.clock = &clock;
@@ -246,45 +248,52 @@ StatusOr<StalenessRun> RunStaleness(const fs::path& root) {
   // One synced record and one poll per tick; a poll that hits a fault (or
   // a torn read) cannot prove freshness, so staleness accrues until the
   // next clean poll — the gate bounds how long that ever takes.
-  for (size_t t = 0; t < r.ticks; ++t) {
-    clock.Advance(r.tick_ms);
+  int64_t max_staleness_ms = 0;
+  for (size_t t = 0; t < ticks; ++t) {
+    clock.Advance(tick_ms);
     if (!ApplyOp(db, static_cast<int>(t) % kScriptOps)) {
       return Status::Internal("writer op failed");
     }
     const Status polled = rep.Poll();
     (void)polled;  // transient faults retry on the next tick
-    r.max_staleness_ms = std::max(r.max_staleness_ms,
-                                  rep.stats().staleness_ms);
+    max_staleness_ms = std::max(max_staleness_ms, rep.stats().staleness_ms);
   }
   for (int i = 0; i < 200 && !rep.stats().caught_up; ++i) {
     const Status polled = rep.Poll();
     (void)polled;
   }
-  r.caught_up = rep.stats().caught_up;
-  r.final_staleness_ms = rep.stats().staleness_ms;
-  if (rep.tailer_stats() != nullptr) {
-    r.read_failures = rep.tailer_stats()->read_failures;
-  }
+  const bool caught_up = rep.stats().caught_up;
+  const int64_t final_staleness_ms = rep.stats().staleness_ms;
+  const size_t read_failures = rep.tailer_stats() != nullptr
+                                   ? rep.tailer_stats()->read_failures
+                                   : 0;
   if (Fingerprint(rdb) != Fingerprint(db)) {
     return Status::Internal("replica diverged from writer");
   }
-  return r;
+
+  using bench::Better;
+  report.Add("staleness.ticks", static_cast<double>(ticks), "ticks",
+             Better::kNone);
+  report.Add("staleness.tick_ms", static_cast<double>(tick_ms), "ms",
+             Better::kNone);
+  report.Add("staleness.read_failures", static_cast<double>(read_failures),
+             "reads", Better::kNone);
+  report.AtMost("staleness.max_staleness_ms",
+                static_cast<double>(max_staleness_ms),
+                static_cast<double>(kStalenessBoundMs), "ms", bench::kExact);
+  report.AtMost("staleness.final_staleness_ms",
+                static_cast<double>(final_staleness_ms), 0.0, "ms");
+  report.Check("staleness.caught_up", caught_up);
+  return Status::OK();
 }
 
 // -------------------------------------------------------------------------
 // Stage three: failover chaos sweep.
 
-struct ChaosFailover {
-  size_t crash_points = 0;
-  size_t promoted = 0;
-  size_t exact = 0;   // promoted store == writer's synced prefix
-  size_t fenced = 0;  // revived stale writer rejected at its next sync
-  size_t fence_checks = 0;
-  double wall_ms = 0.0;
-};
-
-StatusOr<ChaosFailover> RunChaosFailover(const fs::path& root) {
-  ChaosFailover r;
+/// Records the `chaos_failover.*` rows, gated on every crash point
+/// promoting to exactly the writer's synced prefix and every revived stale
+/// writer being fenced.
+Status RunChaosFailover(const fs::path& root, bench::Report& report) {
   const std::vector<std::string> states = ReferenceStates();
 
   // Dry run on a clean io to count the writer's operations.
@@ -320,8 +329,12 @@ StatusOr<ChaosFailover> RunChaosFailover(const fs::path& root) {
     total_ops = wio.counters().ops;
   }
 
+  size_t promoted = 0;
+  size_t exact = 0;   // promoted store == writer's synced prefix
+  size_t fenced = 0;  // revived stale writer rejected at its next sync
+  size_t fence_checks = 0;
   Status sweep_error = Status::OK();
-  r.wall_ms = 1000.0 * bench::TimedSeconds([&] {
+  const double wall_ms = 1000.0 * bench::TimedSeconds([&] {
     for (size_t k = 0; k <= total_ops; ++k) {
       const std::string d =
           (root / ("chaos_" + std::to_string(k))).string();
@@ -385,164 +398,69 @@ StatusOr<ChaosFailover> RunChaosFailover(const fs::path& root) {
         fs::remove_all(d);
         continue;
       }
-      ++r.promoted;
+      ++promoted;
 
       const std::string got = Fingerprint(rdb);
       const bool header_only =
           synced == 0 && got == "== articles slots=0\n";
       if (synced < states.size() && (got == states[synced] || header_only)) {
-        ++r.exact;
+        ++exact;
       }
       if (writing) {
-        ++r.fence_checks;
+        ++fence_checks;
         const size_t synced_before = db.wal()->stats().records_synced;
         db.GetOrCreate("articles")
             .Insert(store::MakeObject({{"k", static_cast<int64_t>(777)}}));
         if (db.WalSync().code() == StatusCode::kFailedPrecondition &&
             db.wal()->stats().records_synced == synced_before) {
-          ++r.fenced;
+          ++fenced;
         }
       }
       fs::remove_all(d);
     }
   });
   NEWSDIFF_RETURN_IF_ERROR(sweep_error);
-  r.crash_points = total_ops + 1;
-  return r;
-}
+  const size_t crash_points = total_ops + 1;
 
-bool WriteJson(const CatchupDelta& c, const StalenessRun& s,
-               const ChaosFailover& f, bool gates_ok,
-               const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"gate_min_catchup_ratio\": %.1f,\n",
-               kMinCatchupRatio);
-  std::fprintf(out, "  \"gate_staleness_bound_ms\": %lld,\n",
-               static_cast<long long>(kStalenessBoundMs));
-  std::fprintf(out, "  \"gates_ok\": %s,\n", gates_ok ? "true" : "false");
-  std::fprintf(out, "  \"catchup_delta\": {\n");
-  std::fprintf(out, "    \"docs\": %zu,\n", c.docs);
-  std::fprintf(out, "    \"delta_docs\": %zu,\n", c.delta_docs);
-  std::fprintf(out, "    \"bootstrap_bytes\": %zu,\n", c.bootstrap_bytes);
-  std::fprintf(out, "    \"catchup_bytes\": %zu,\n", c.catchup_bytes);
-  std::fprintf(out, "    \"bytes_ratio\": %.1f\n", c.bytes_ratio);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"staleness\": {\n");
-  std::fprintf(out, "    \"ticks\": %zu,\n", s.ticks);
-  std::fprintf(out, "    \"tick_ms\": %lld,\n",
-               static_cast<long long>(s.tick_ms));
-  std::fprintf(out, "    \"read_failures\": %zu,\n", s.read_failures);
-  std::fprintf(out, "    \"max_staleness_ms\": %lld,\n",
-               static_cast<long long>(s.max_staleness_ms));
-  std::fprintf(out, "    \"final_staleness_ms\": %lld,\n",
-               static_cast<long long>(s.final_staleness_ms));
-  std::fprintf(out, "    \"caught_up\": %s\n",
-               s.caught_up ? "true" : "false");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"chaos_failover\": {\n");
-  std::fprintf(out, "    \"crash_points\": %zu,\n", f.crash_points);
-  std::fprintf(out, "    \"promoted\": %zu,\n", f.promoted);
-  std::fprintf(out, "    \"exact_prefix\": %zu,\n", f.exact);
-  std::fprintf(out, "    \"fence_checks\": %zu,\n", f.fence_checks);
-  std::fprintf(out, "    \"fenced\": %zu,\n", f.fenced);
-  std::fprintf(out, "    \"wall_ms\": %.1f\n", f.wall_ms);
-  std::fprintf(out, "  }\n");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  return true;
+  // promoted, exact <= crash_points and fenced <= fence_checks, so these
+  // lower bounds are the equalities the stage promises.
+  report.Add("chaos_failover.crash_points", static_cast<double>(crash_points),
+             "points", bench::Better::kNone);
+  report.AtLeast("chaos_failover.promoted", static_cast<double>(promoted),
+                 static_cast<double>(crash_points), "points");
+  report.AtLeast("chaos_failover.exact_prefix", static_cast<double>(exact),
+                 static_cast<double>(crash_points), "points", bench::kExact);
+  report.Add("chaos_failover.fence_checks", static_cast<double>(fence_checks),
+             "checks", bench::Better::kNone);
+  report.AtLeast("chaos_failover.fenced", static_cast<double>(fenced),
+                 static_cast<double>(fence_checks), "checks");
+  report.Add("chaos_failover.wall_ms", wall_ms, "ms", bench::Better::kLower);
+  return Status::OK();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_replication.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  bench::Report report("ablation_replication", "BENCH_replication.json",
+                       kSeed, argc, argv, /*has_smoke=*/false);
   std::printf("=== Ablation: WAL-tailing replication ===\n\n");
   const fs::path root =
       fs::temp_directory_path() / "newsdiff_ablation_replication";
   fs::remove_all(root);
   fs::create_directories(root);
 
-  auto catchup = RunCatchupDelta(root);
-  if (!catchup.ok()) {
-    std::printf("catchup_delta stage failed: %s\n",
-                catchup.status().ToString().c_str());
-    fs::remove_all(root);
-    return 1;
+  const std::pair<const char*, Status (*)(const fs::path&, bench::Report&)>
+      stages[] = {{"catchup_delta", RunCatchupDelta},
+                  {"staleness", RunStaleness},
+                  {"chaos_failover", RunChaosFailover}};
+  for (const auto& [name, run] : stages) {
+    const Status done = run(root, report);
+    if (!done.ok()) {
+      std::printf("%s stage failed: %s\n", name, done.ToString().c_str());
+      fs::remove_all(root);
+      return 1;
+    }
   }
-  TablePrinter ctable({"Path", "Bytes read"});
-  ctable.AddRow({"cold bootstrap (snapshot + tail)",
-                 std::to_string(catchup->bootstrap_bytes)});
-  ctable.AddRow({"incremental catch-up (1% delta)",
-                 std::to_string(catchup->catchup_bytes)});
-  ctable.Print();
-  std::printf(
-      "\n%zu docs, %zu touched (1%%): catch-up reads %.1fx fewer bytes\n"
-      "than a cold bootstrap (gate: >= %.1fx).\n\n",
-      catchup->docs, catchup->delta_docs, catchup->bytes_ratio,
-      kMinCatchupRatio);
-
-  auto staleness = RunStaleness(root);
-  if (!staleness.ok()) {
-    std::printf("staleness stage failed: %s\n",
-                staleness.status().ToString().c_str());
-    fs::remove_all(root);
-    return 1;
-  }
-  std::printf(
-      "=== staleness: %zu ticks x %lldms through injected read faults "
-      "===\n\n"
-      "read faults hit: %zu, max staleness: %lldms (bound: %lldms),\n"
-      "final staleness: %lldms, caught up: %s\n\n",
-      staleness->ticks, static_cast<long long>(staleness->tick_ms),
-      staleness->read_failures,
-      static_cast<long long>(staleness->max_staleness_ms),
-      static_cast<long long>(kStalenessBoundMs),
-      static_cast<long long>(staleness->final_staleness_ms),
-      staleness->caught_up ? "yes" : "NO");
-
-  auto chaos = RunChaosFailover(root);
-  if (!chaos.ok()) {
-    std::printf("chaos_failover stage failed: %s\n",
-                chaos.status().ToString().c_str());
-    fs::remove_all(root);
-    return 1;
-  }
-  TablePrinter ftable({"Crash points", "Promoted", "Exact prefix",
-                       "Fence checks", "Fenced", "Wall ms"});
-  char wall_buf[24];
-  std::snprintf(wall_buf, sizeof(wall_buf), "%.1f", chaos->wall_ms);
-  ftable.AddRow({std::to_string(chaos->crash_points),
-                 std::to_string(chaos->promoted),
-                 std::to_string(chaos->exact),
-                 std::to_string(chaos->fence_checks),
-                 std::to_string(chaos->fenced), wall_buf});
-  ftable.Print();
-  std::printf(
-      "\nWriter killed at every io op under >=10%% replica read faults:\n"
-      "every promotion must equal the synced prefix and every revived\n"
-      "stale writer must be fenced.\n\n");
-
-  const bool gates_ok =
-      catchup->bytes_ratio >= kMinCatchupRatio &&
-      staleness->caught_up && staleness->final_staleness_ms == 0 &&
-      staleness->max_staleness_ms <= kStalenessBoundMs &&
-      chaos->promoted == chaos->crash_points &&
-      chaos->exact == chaos->crash_points &&
-      chaos->fenced == chaos->fence_checks;
-  if (!WriteJson(*catchup, *staleness, *chaos, gates_ok, out_path)) {
-    std::printf("failed to write %s\n", out_path.c_str());
-    fs::remove_all(root);
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!gates_ok) std::printf("GATE FAILED\n");
   fs::remove_all(root);
-  return gates_ok ? 0 : 1;
+  return report.Finish();
 }

@@ -11,14 +11,16 @@
 //     (the exactness contract of index/index.h);
 //   * full mode: the index answers the mix >= 10x faster than the scan
 //     (smoke uses a 2x floor so shared CI runners do not flake).
-// CI runs `index_bench --smoke` on the Release legs; full mode produces
-// the checked-in BENCH_index.json (see --out).
+// Both gates are rows of the report (bench/report.h). CI runs
+// `index_bench --smoke` on the Release legs; full mode produces the
+// checked-in BENCH_index.json (see --out).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/report.h"
+#include "common/bitwise.h"
 #include "common/rng.h"
 #include "core/collection.h"
 #include "core/preprocess.h"
@@ -30,22 +32,6 @@
 using namespace newsdiff;
 
 namespace {
-
-struct CorpusRow {
-  std::string name;
-  size_t docs = 0;
-  size_t terms = 0;
-  size_t queries = 0;
-  double brute_seconds = 0.0;
-  double index_seconds = 0.0;
-  double speedup = 0.0;
-  double recall_at_k = 0.0;
-  // Work actually done by the pruned path, as a fraction of the corpus:
-  // docs_scored / (queries * docs). The scan's fraction is 1.0 by
-  // definition; this is the "why is it faster" number.
-  double scored_fraction = 0.0;
-  size_t blocks_decoded = 0;
-};
 
 /// A fixed, deterministic query mix: mostly terms sampled from real
 /// documents (guaranteed matches, realistic df skew), plus a sprinkle of
@@ -74,38 +60,36 @@ bool SameRanking(const std::vector<index::SearchResult>& got,
                  const std::vector<index::SearchResult>& want) {
   if (got.size() != want.size()) return false;
   for (size_t i = 0; i < got.size(); ++i) {
-    if (got[i].doc != want[i].doc || got[i].score != want[i].score) {
+    if (got[i].doc != want[i].doc || !SameBits(got[i].score, want[i].score)) {
       return false;
     }
   }
   return true;
 }
 
-CorpusRow BenchCorpus(const std::string& name, const corpus::Corpus& corpus,
-                      const index::IndexOptions& options, size_t num_queries,
-                      size_t k, uint64_t seed, bool* gates_ok,
-                      double speedup_floor) {
-  CorpusRow row;
-  row.name = name;
-  row.docs = corpus.size();
-  row.terms = corpus.vocabulary().size();
-
+/// Times the index against the brute-force scan on `corpus` and records
+/// the `name.*` rows: recall@k and the speedup are gated.
+void BenchCorpus(const std::string& name, const corpus::Corpus& corpus,
+                 const index::IndexOptions& options, size_t num_queries,
+                 size_t k, uint64_t seed, double speedup_floor,
+                 bench::Report* report) {
   StatusOr<index::InvertedIndex> built =
       index::InvertedIndex::Build(corpus, options);
   if (!built.ok()) {
     std::fprintf(stderr, "FAIL: build %s: %s\n", name.c_str(),
                  built.status().ToString().c_str());
-    *gates_ok = false;
-    return row;
+    report->Check(name + ".built", false);
+    return;
   }
   const index::InvertedIndex& ix = *built;
   const std::vector<std::vector<std::string>> queries =
       MakeQueries(corpus, num_queries, seed);
-  row.queries = queries.size();
+  const size_t docs = corpus.size();
 
   // Correctness sweep first (untimed): every ranking must be identical.
   size_t exact = 0;
   size_t docs_scored = 0;
+  size_t blocks_decoded = 0;
   for (const std::vector<std::string>& q : queries) {
     index::QueryStats stats;
     std::vector<index::SearchResult> fast = ix.TopK(q, k, &stats);
@@ -113,85 +97,57 @@ CorpusRow BenchCorpus(const std::string& name, const corpus::Corpus& corpus,
         index::BruteForceTopK(corpus, options, q, k);
     if (SameRanking(fast, reference)) ++exact;
     docs_scored += stats.docs_scored;
-    row.blocks_decoded += stats.blocks_decoded;
+    blocks_decoded += stats.blocks_decoded;
   }
-  row.recall_at_k =
+  const double recall =
       queries.empty() ? 1.0
                       : static_cast<double>(exact) /
                             static_cast<double>(queries.size());
-  row.scored_fraction =
+  // Work actually done by the pruned path, as a fraction of the corpus:
+  // docs_scored / (queries * docs). The scan's fraction is 1.0 by
+  // definition; this is the "why is it faster" number.
+  const double scored_fraction =
       static_cast<double>(docs_scored) /
-      (static_cast<double>(queries.size()) * static_cast<double>(row.docs));
+      (static_cast<double>(queries.size()) * static_cast<double>(docs));
 
   // Timed replay of the whole mix through each path.
-  row.index_seconds = bench::TimedSeconds([&] {
+  const double index_seconds = bench::TimedSeconds([&] {
     for (const std::vector<std::string>& q : queries) ix.TopK(q, k);
   });
-  row.brute_seconds = bench::TimedSeconds([&] {
+  const double brute_seconds = bench::TimedSeconds([&] {
     for (const std::vector<std::string>& q : queries) {
       index::BruteForceTopK(corpus, options, q, k);
     }
   });
-  row.speedup =
-      row.index_seconds > 0.0 ? row.brute_seconds / row.index_seconds : 0.0;
+  const double speedup =
+      index_seconds > 0.0 ? brute_seconds / index_seconds : 0.0;
 
-  const bool recall_ok = row.recall_at_k == 1.0;
-  const bool speedup_ok = row.speedup >= speedup_floor;
-  *gates_ok = *gates_ok && recall_ok && speedup_ok;
-  std::printf(
-      "corpus=%s docs=%zu terms=%zu queries=%zu k=%zu\n"
-      "  brute=%.4fs index=%.4fs speedup=%.1fx (floor %.0fx, %s)\n"
-      "  recall@k=%.3f (%s) scored_fraction=%.4f blocks=%zu\n",
-      name.c_str(), row.docs, row.terms, row.queries, k, row.brute_seconds,
-      row.index_seconds, row.speedup, speedup_floor,
-      speedup_ok ? "ok" : "FAIL", row.recall_at_k,
-      recall_ok ? "ok" : "FAIL", row.scored_fraction, row.blocks_decoded);
-  return row;
-}
-
-bool WriteJson(const std::vector<CorpusRow>& rows, const std::string& mode,
-               size_t k, double speedup_floor, bool gates_ok,
-               const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", mode.c_str());
-  std::fprintf(f, "  \"k\": %zu,\n", k);
-  std::fprintf(f, "  \"speedup_floor\": %.1f,\n", speedup_floor);
-  std::fprintf(f, "  \"gates_ok\": %s,\n", gates_ok ? "true" : "false");
-  std::fprintf(f, "  \"corpora\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const CorpusRow& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"corpus\": \"%s\", \"docs\": %zu, \"terms\": %zu, "
-        "\"queries\": %zu, \"brute_seconds\": %.6f, "
-        "\"index_seconds\": %.6f, \"speedup\": %.2f, "
-        "\"recall_at_k\": %.4f, \"scored_fraction\": %.4f, "
-        "\"blocks_decoded\": %zu}%s\n",
-        r.name.c_str(), r.docs, r.terms, r.queries, r.brute_seconds,
-        r.index_seconds, r.speedup, r.recall_at_k, r.scored_fraction,
-        r.blocks_decoded, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+  report->Add(name + ".docs", static_cast<double>(docs), "docs",
+              bench::Better::kNone);
+  report->Add(name + ".terms",
+              static_cast<double>(corpus.vocabulary().size()), "terms",
+              bench::Better::kNone);
+  report->Add(name + ".queries", static_cast<double>(queries.size()),
+              "queries", bench::Better::kNone);
+  report->Add(name + ".brute_seconds", brute_seconds, "s",
+              bench::Better::kLower);
+  report->Add(name + ".index_seconds", index_seconds, "s",
+              bench::Better::kLower);
+  report->AtLeast(name + ".speedup", speedup, speedup_floor, "x");
+  report->AtLeast(name + ".recall_at_k", recall, 1.0, "fraction",
+                  bench::kExact);
+  report->Add(name + ".scored_fraction", scored_fraction, "fraction",
+              bench::Better::kLower, bench::kExact);
+  report->Add(name + ".blocks_decoded", static_cast<double>(blocks_decoded),
+              "blocks", bench::Better::kLower, bench::kExact);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_index.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
-  const std::string mode = smoke ? "smoke" : "full";
+  const uint64_t seed = 2021;
+  bench::Report report("index_bench", "BENCH_index.json", seed, argc, argv);
+  const bool smoke = report.smoke();
   // The 10x acceptance gate runs on the full corpus; smoke keeps a 2x
   // floor so loaded CI runners cannot flake the leg while still catching
   // a pruning regression that makes the index no faster than the scan.
@@ -200,10 +156,10 @@ int main(int argc, char** argv) {
   const size_t num_queries = smoke ? 50 : 200;
 
   std::printf("=== Index vs brute-force serving bench (%s mode) ===\n\n",
-              mode.c_str());
+              report.mode().c_str());
 
   datagen::WorldOptions world_options;
-  world_options.seed = 2021;
+  world_options.seed = seed;
   if (smoke) {
     world_options.num_articles = 1500;
     world_options.num_tweets = 4000;
@@ -223,23 +179,10 @@ int main(int argc, char** argv) {
   const corpus::Corpus tweet_corpus = core::BuildTwitterED(*tweets);
 
   index::IndexOptions options;
-  bool gates_ok = true;
-  std::vector<CorpusRow> rows;
-  rows.push_back(BenchCorpus("news", news_corpus, options, num_queries, k,
-                             7, &gates_ok, speedup_floor));
-  rows.push_back(BenchCorpus("tweets", tweet_corpus, options, num_queries, k,
-                             11, &gates_ok, speedup_floor));
-
-  std::printf("\ngates=%s\n", gates_ok ? "ok" : "FAIL");
-  if (!WriteJson(rows, mode, k, speedup_floor, gates_ok, out_path)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!gates_ok) {
-    std::fprintf(stderr,
-                 "\nFAIL: an index exactness or speedup gate tripped\n");
-    return 1;
-  }
-  return 0;
+  report.Add("k", static_cast<double>(k), "docs", bench::Better::kNone);
+  BenchCorpus("news", news_corpus, options, num_queries, k, 7, speedup_floor,
+              &report);
+  BenchCorpus("tweets", tweet_corpus, options, num_queries, k, 11,
+              speedup_floor, &report);
+  return report.Finish();
 }

@@ -13,19 +13,24 @@
 //   * both CSR products are bitwise equal at 1 and 4 threads and to the
 //     serial scatter loop (TransposeMultiplyDense over the transpose);
 //   * fold-grain CV reproduces serial CV bitwise.
-// It also prints `blocked_digest`, a CRC-32 of the blocked products' bits
-// over a shape sweep (see BlockedDigest); it gates nothing.
+// Each gate is a row of the report (bench/report.h); "bitwise" means equal
+// bit patterns (common/bitwise.h), so +0.0 against -0.0 fails. It also
+// notes `blocked_digest`, a CRC-32 of the blocked products' bits over a
+// shape sweep (see BlockedDigest); it gates nothing.
 // CI runs `kernels_bench --smoke` on the Release legs; full mode produces
 // the checked-in BENCH_kernels.json (see --out).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/report.h"
+#include "common/bitwise.h"
 #include "common/crc32.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -60,11 +65,6 @@ la::CsrMatrix RandomCsr(size_t rows, size_t cols, double density,
                  rng.NextDouble() + 0.1});
   }
   return la::CsrMatrix::FromTriplets(rows, cols, t);
-}
-
-bool BitwiseEqual(const la::Matrix& a, const la::Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         a.data() == b.data();
 }
 
 double MaxRelError(const la::Matrix& got, const la::Matrix& want) {
@@ -132,125 +132,39 @@ uint32_t BlockedDigest() {
   return crc;
 }
 
-struct KernelRow {
-  std::string kernel;
-  std::string variant;
-  double seconds = 0.0;
-  double gflops = 0.0;
-  /// Speedup over the `speedup_base` variant of the same kernel: "naive"
-  /// for the dense products, "1t" for CSR, which has no naive twin.
-  std::string speedup_base;
-  double speedup = 0.0;
-};
-
-struct CvRow {
-  std::string variant;
-  double seconds = 0.0;
-  bool bitwise_equal_serial = true;
-};
-
-struct InferenceRow {
-  std::string shape;    // "n x k x m"
-  std::string variant;  // blocked / prepacked
-  double seconds = 0.0;
-  double gflops = 0.0;
-  double speedup_vs_blocked = 0.0;
-};
-
-struct Report {
-  std::string mode;
-  std::vector<KernelRow> kernels;
-  std::vector<CvRow> cv;
-  std::vector<InferenceRow> inference;
-  double gemm_blocked_speedup_1t = 0.0;
-  double max_rel_error_vs_naive = 0.0;
-  double fold_vs_intra_speedup = 0.0;
-  uint32_t blocked_digest = 0;
-  bool gates_ok = true;
-};
-
-bool WriteJson(const Report& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", r.mode.c_str());
-  std::fprintf(f, "  \"hardware_threads\": %zu,\n", HardwareThreads());
-  std::fprintf(f, "  \"rel_tolerance\": %.1e,\n", kRelTolerance);
-  std::fprintf(f, "  \"max_rel_error_vs_naive\": %.3e,\n",
-               r.max_rel_error_vs_naive);
-  std::fprintf(f, "  \"gemm_blocked_speedup_1t\": %.2f,\n",
-               r.gemm_blocked_speedup_1t);
-  std::fprintf(f, "  \"fold_vs_intra_speedup\": %.2f,\n",
-               r.fold_vs_intra_speedup);
-  std::fprintf(f, "  \"blocked_digest\": \"%s\",\n",
-               Crc32Hex(r.blocked_digest).c_str());
-  std::fprintf(f, "  \"gates_ok\": %s,\n", r.gates_ok ? "true" : "false");
-  std::fprintf(f, "  \"inference\": [\n");
-  for (size_t i = 0; i < r.inference.size(); ++i) {
-    const InferenceRow& k = r.inference[i];
-    std::fprintf(f,
-                 "    {\"shape\": \"%s\", \"variant\": \"%s\", "
-                 "\"seconds\": %.6f, \"gflops\": %.3f, "
-                 "\"speedup_vs_blocked\": %.2f}%s\n",
-                 k.shape.c_str(), k.variant.c_str(), k.seconds, k.gflops,
-                 k.speedup_vs_blocked, i + 1 < r.inference.size() ? "," : "");
+/// Records `<kernel>.<variant>.gflops` and, past the base variant, the
+/// speedup over it.
+void AddKernelRow(bench::Report& report, const std::string& kernel,
+                  const std::string& variant, double flops, double seconds,
+                  const std::string& base, double base_seconds) {
+  report.Add(kernel + "." + variant + ".gflops",
+             seconds > 0.0 ? flops / seconds / 1e9 : 0.0, "GFLOP/s",
+             bench::Better::kHigher);
+  if (variant != base) {
+    report.Add(kernel + "." + variant + ".speedup_vs_" + base,
+               seconds > 0.0 ? base_seconds / seconds : 0.0, "x",
+               bench::Better::kHigher);
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"kernels\": [\n");
-  for (size_t i = 0; i < r.kernels.size(); ++i) {
-    const KernelRow& k = r.kernels[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"variant\": \"%s\", "
-                 "\"seconds\": %.6f, \"gflops\": %.3f, "
-                 "\"speedup_vs_%s\": %.2f}%s\n",
-                 k.kernel.c_str(), k.variant.c_str(), k.seconds, k.gflops,
-                 k.speedup_base.c_str(), k.speedup,
-                 i + 1 < r.kernels.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"cross_validation\": [\n");
-  for (size_t i = 0; i < r.cv.size(); ++i) {
-    const CvRow& c = r.cv[i];
-    std::fprintf(f,
-                 "    {\"variant\": \"%s\", \"seconds\": %.4f, "
-                 "\"bitwise_equal_serial\": %s}%s\n",
-                 c.variant.c_str(), c.seconds,
-                 c.bitwise_equal_serial ? "true" : "false",
-                 i + 1 < r.cv.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_kernels.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
-
-  Report report;
-  report.mode = smoke ? "smoke" : "full";
+  // The operands come from fixed seeds; the report records the first.
+  bench::Report report("kernels_bench", "BENCH_kernels.json", /*seed=*/1,
+                       argc, argv);
+  const bool smoke = report.smoke();
   std::printf("=== Kernel regression harness (%s mode) ===\n",
-              report.mode.c_str());
+              report.mode().c_str());
   std::printf("hardware_threads=%zu tolerance=%.0e\n\n", HardwareThreads(),
               kRelTolerance);
 
-  report.blocked_digest = BlockedDigest();
-  std::printf("blocked_digest=%s\n\n",
-              Crc32Hex(report.blocked_digest).c_str());
+  const std::string digest = Crc32Hex(BlockedDigest());
+  report.Note("blocked_digest", digest);
+  std::printf("blocked_digest=%s\n\n", digest.c_str());
 
   const size_t dim = smoke ? 192 : 512;
   const size_t reps = smoke ? 2 : 3;
-  bool gates_ok = true;
 
   // --- Dense kernels: naive vs blocked vs blocked+4t, plus the gates. ---
   using Product = void (*)(const la::Matrix&, const la::Matrix&, la::Matrix*,
@@ -272,6 +186,7 @@ int main(int argc, char** argv) {
                              static_cast<double>(dim);
 
   for (const DenseCase& dc : dense_cases) {
+    const std::string name = dc.name;
     la::Matrix naive_out, blocked_out, scratch;
     double naive_s = BestSeconds(reps, [&] {
       dc.naive(a, b, &naive_out, Threads(1));
@@ -286,45 +201,23 @@ int main(int argc, char** argv) {
     // Gate: exact repeat and exact thread/shard invariance.
     la::Matrix repeat;
     dc.blocked(a, b, &repeat, Threads(1));
-    bool repeat_ok = BitwiseEqual(repeat, blocked_out);
+    report.Check(name + ".repeat_bitwise", BitwiseEqual(repeat, blocked_out));
     bool threads_ok = true;
     for (size_t threads : {2ul, 4ul}) {
       la::Matrix t_out;
       dc.blocked(a, b, &t_out, Threads(threads));
       threads_ok = threads_ok && BitwiseEqual(t_out, blocked_out);
     }
+    report.Check(name + ".thread_bitwise", threads_ok);
     // Gate: blocked within tolerance of naive.
-    double rel = MaxRelError(blocked_out, naive_out);
-    report.max_rel_error_vs_naive =
-        std::max(report.max_rel_error_vs_naive, rel);
-    bool rel_ok = rel <= kRelTolerance;
-    gates_ok = gates_ok && repeat_ok && threads_ok && rel_ok;
+    report.AtMost(name + ".max_rel_error_vs_naive",
+                  MaxRelError(blocked_out, naive_out), kRelTolerance, "rel");
 
-    auto add_row = [&](const char* variant, double seconds) {
-      KernelRow row;
-      row.kernel = dc.name;
-      row.variant = variant;
-      row.seconds = seconds;
-      row.gflops = seconds > 0.0 ? dense_flops / seconds / 1e9 : 0.0;
-      row.speedup_base = "naive";
-      row.speedup = seconds > 0.0 ? naive_s / seconds : 0.0;
-      report.kernels.push_back(row);
-      std::printf(
-          "kernel=%s variant=%s seconds=%.4f gflops=%.2f speedup=%.2f\n",
-          row.kernel.c_str(), row.variant.c_str(), row.seconds, row.gflops,
-          row.speedup);
-    };
-    add_row("naive", naive_s);
-    add_row("blocked", blocked_s);
-    add_row("blocked_4t", blocked4_s);
-    std::printf(
-        "kernel=%s repeat_exact=%s thread_invariant=%s max_rel=%.2e (%s)\n",
-        dc.name, repeat_ok ? "ok" : "FAIL", threads_ok ? "ok" : "FAIL", rel,
-        rel_ok ? "ok" : "FAIL");
-    if (std::strcmp(dc.name, "matmul") == 0) {
-      report.gemm_blocked_speedup_1t =
-          blocked_s > 0.0 ? naive_s / blocked_s : 0.0;
-    }
+    AddKernelRow(report, name, "naive", dense_flops, naive_s, "naive", naive_s);
+    AddKernelRow(report, name, "blocked", dense_flops, blocked_s, "naive",
+                 naive_s);
+    AddKernelRow(report, name, "blocked_4t", dense_flops, blocked4_s, "naive",
+                 naive_s);
   }
 
   // --- CSR·dense: both products NMF runs, MultiplyDense (its W^T A) and
@@ -346,9 +239,9 @@ int main(int argc, char** argv) {
       const double csr_flops = 2.0 * static_cast<double>(csr.nnz()) *
                                static_cast<double>(width);
       for (bool transposed : {false, true}) {
-        char name[32];
-        std::snprintf(name, sizeof(name), "%s_w%zu",
-                      transposed ? "csr_dense_t" : "csr_dense", width);
+        const std::string name = std::string(transposed ? "csr_dense_t"
+                                                        : "csr_dense") +
+                                 "_w" + std::to_string(width);
         auto product = [&](size_t threads) {
           return transposed ? csr.MultiplyDenseTransposed(dt, Threads(threads))
                             : csr.MultiplyDense(d, Threads(threads));
@@ -359,33 +252,16 @@ int main(int argc, char** argv) {
         const la::Matrix scatter =
             transposed ? csr_t.TransposeMultiplyDense(dt.Transposed())
                        : csr_t.TransposeMultiplyDense(d);
-        const bool exact =
-            BitwiseEqual(out_1t, scatter) && BitwiseEqual(out_4t, scatter);
-        gates_ok = gates_ok && exact;
-
-        auto add_row = [&](const char* variant, double seconds) {
-          KernelRow row;
-          row.kernel = name;
-          row.variant = variant;
-          row.seconds = seconds;
-          row.gflops = seconds > 0.0 ? csr_flops / seconds / 1e9 : 0.0;
-          row.speedup_base = "1t";
-          row.speedup = seconds > 0.0 ? s_1t / seconds : 0.0;
-          report.kernels.push_back(row);
-          std::printf(
-              "kernel=%s variant=%s seconds=%.6f gflops=%.2f speedup=%.2f\n",
-              row.kernel.c_str(), row.variant.c_str(), row.seconds,
-              row.gflops, row.speedup);
-        };
-        add_row("1t", s_1t);
-        add_row("4t", s_4t);
-        std::printf("kernel=%s bitwise_vs_scatter=%s\n", name,
-                    exact ? "ok" : "FAIL");
+        report.Check(name + ".bitwise_vs_scatter",
+                     BitwiseEqual(out_1t, scatter) &&
+                         BitwiseEqual(out_4t, scatter));
+        AddKernelRow(report, name, "1t", csr_flops, s_1t, "1t", s_1t);
+        AddKernelRow(report, name, "4t", csr_flops, s_4t, "1t", s_1t);
       }
     }
   }
 
-  // --- Inference shapes: per-call blocked vs prepacked.
+  // --- The inference shape 256x256x64: per-call blocked vs prepacked.
   // Gates: the prepacked path is bitwise equal to the per-call blocked
   // path and bitwise invariant to batch composition (row i of a
   // batch-of-N equals the same row as a batch-of-1, the contract
@@ -393,9 +269,6 @@ int main(int argc, char** argv) {
   {
     const size_t batch = 256, depth = 256, width = 64;
     const size_t inf_reps = smoke ? 200 : 1000;
-    char shape_buf[64];
-    std::snprintf(shape_buf, sizeof(shape_buf), "%zux%zux%zu", batch, depth,
-                  width);
     la::Matrix ia = RandomMatrix(batch, depth, 21);
     la::Matrix ib = RandomMatrix(depth, width, 22);
     const Parallelism par = Threads(1);
@@ -417,7 +290,8 @@ int main(int argc, char** argv) {
       }
     }) / static_cast<double>(inf_reps);
 
-    const bool prepacked_bitwise = BitwiseEqual(prepacked_out, blocked_out);
+    report.Check("inference.prepacked_bitwise",
+                 BitwiseEqual(prepacked_out, blocked_out));
 
     // Batch-composition invariance: every row of the batch product must be
     // bitwise equal to the one-row product.
@@ -426,33 +300,16 @@ int main(int argc, char** argv) {
     for (size_t r = 0; r < batch && batch_invariant; r += 17) {
       for (size_t c = 0; c < depth; ++c) one.RowPtr(0)[c] = ia.RowPtr(r)[c];
       la::internal::BlockedMatMulPrepacked(one, packed, &single, par);
-      for (size_t c = 0; c < width; ++c) {
-        if (single.RowPtr(0)[c] != prepacked_out.RowPtr(r)[c]) {
-          batch_invariant = false;
-        }
-      }
+      batch_invariant = BitwiseEqual(
+          std::span<const double>(single.RowPtr(0), width),
+          std::span<const double>(prepacked_out.RowPtr(r), width));
     }
-    gates_ok = gates_ok && prepacked_bitwise && batch_invariant;
+    report.Check("inference.batch_invariant", batch_invariant);
 
-    auto add_row = [&](const char* variant, double seconds) {
-      InferenceRow row;
-      row.shape = shape_buf;
-      row.variant = variant;
-      row.seconds = seconds;
-      row.gflops = seconds > 0.0 ? inf_flops / seconds / 1e9 : 0.0;
-      row.speedup_vs_blocked = seconds > 0.0 ? blocked_s / seconds : 0.0;
-      report.inference.push_back(row);
-      std::printf(
-          "inference shape=%s variant=%s seconds=%.6f gflops=%.2f "
-          "speedup=%.2f\n",
-          row.shape.c_str(), row.variant.c_str(), row.seconds, row.gflops,
-          row.speedup_vs_blocked);
-    };
-    add_row("blocked", blocked_s);
-    add_row("prepacked", prepacked_s);
-    std::printf("inference prepacked_bitwise=%s batch_invariant=%s\n",
-                prepacked_bitwise ? "ok" : "FAIL",
-                batch_invariant ? "ok" : "FAIL");
+    AddKernelRow(report, "inference", "blocked", inf_flops, blocked_s,
+                 "blocked", blocked_s);
+    AddKernelRow(report, "inference", "prepacked", inf_flops, prepacked_s,
+                 "blocked", blocked_s);
   }
 
   // --- End-to-end cross-validation at both grains. Shards pinned at 16 in
@@ -479,53 +336,37 @@ int main(int argc, char** argv) {
     base.parallelism.shards = 16;
     base.fold_parallelism.shards = 16;
 
-    auto run_cv = [&](const char* name, size_t intra_threads,
-                      size_t fold_threads,
-                      const std::vector<double>* baseline) {
+    // Gate: serial CV produced its folds (`serial` is null), and both
+    // 4-thread grains reproduce them bitwise. Returns the fold accuracies
+    // and the wall time.
+    auto run_cv = [&](const std::string& name, size_t intra_threads,
+                      size_t fold_threads, const std::vector<double>* serial) {
       core::PredictorOptions opts = base;
       opts.parallelism.threads = intra_threads;
       opts.fold_parallelism.threads = fold_threads;
-      CvRow row;
-      row.variant = name;
       std::vector<double> accs;
-      row.seconds = bench::TimedSeconds([&] {
+      const double seconds = bench::TimedSeconds([&] {
         auto cv =
             core::CrossValidate(x, y, core::NetworkKind::kMlp1, opts, 4);
         if (cv.ok()) accs = cv->fold_accuracies;
       });
-      row.bitwise_equal_serial =
-          baseline == nullptr ? !accs.empty() : accs == *baseline;
-      report.cv.push_back(row);
-      std::printf("cv variant=%s seconds=%.3f bitwise=%s\n", name,
-                  row.seconds, row.bitwise_equal_serial ? "ok" : "FAIL");
-      return accs;
+      report.Add("cv." + name + ".seconds", seconds, "s",
+                 bench::Better::kLower);
+      if (serial == nullptr) {
+        report.AtLeast("cv.serial.folds", static_cast<double>(accs.size()),
+                       1.0, "folds");
+      } else {
+        report.Check("cv." + name + ".bitwise_vs_serial",
+                     BitwiseEqual(accs, *serial));
+      }
+      return std::make_pair(accs, seconds);
     };
-    std::vector<double> serial =
-        run_cv("serial", 1, 1, nullptr);
-    run_cv("intra_op_4t", 4, 1, &serial);
-    run_cv("fold_tasks_4t", 1, 4, &serial);
-    for (const CvRow& c : report.cv) {
-      gates_ok = gates_ok && c.bitwise_equal_serial;
-    }
-    report.fold_vs_intra_speedup =
-        report.cv[2].seconds > 0.0
-            ? report.cv[1].seconds / report.cv[2].seconds
-            : 0.0;
+    const std::vector<double> serial = run_cv("serial", 1, 1, nullptr).first;
+    const double intra_s = run_cv("intra_op_4t", 4, 1, &serial).second;
+    const double fold_s = run_cv("fold_tasks_4t", 1, 4, &serial).second;
+    report.Add("cv.fold_vs_intra_speedup",
+               fold_s > 0.0 ? intra_s / fold_s : 0.0, "x",
+               bench::Better::kHigher);
   }
-
-  report.gates_ok = gates_ok;
-  std::printf("\ngemm_blocked_speedup_1t=%.2f fold_vs_intra=%.2f gates=%s\n",
-              report.gemm_blocked_speedup_1t, report.fold_vs_intra_speedup,
-              gates_ok ? "ok" : "FAIL");
-  if (!WriteJson(report, out_path)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!gates_ok) {
-    std::fprintf(stderr,
-                 "\nFAIL: a kernel determinism or tolerance gate tripped\n");
-    return 1;
-  }
-  return 0;
+  return report.Finish();
 }

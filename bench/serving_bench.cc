@@ -8,7 +8,8 @@
 // background thread rebuilds the index mid-run to exercise the concurrent
 // generation swap. Reports p50/p99/p999 per op class, achieved-vs-offered
 // throughput, and a saturation search (step the arrival rate until the SLO
-// breaks).
+// breaks; a search that never breaks reports "unsaturated at" its last
+// offered rate, not a limit).
 //
 // Gating policy (same as kernels_bench/index_bench: CI-noise-proof):
 //   * determinism — regenerating the trace from the same seed must yield a
@@ -18,20 +19,27 @@
 //   * SLO-ratio — achieved/offered throughput at the base rate must hold
 //     the floor (a saturated driver falls behind its own open-loop
 //     schedule; runner noise can only make this fail, never pass).
-// Wall-clock latency percentiles and the saturation throughput are
-// *recorded* in BENCH_serving.json but never gated, so a loaded CI runner
-// cannot flake the job.
+// Each gate is a row of the report (bench/report.h). Wall-clock latency
+// percentiles and the saturation throughput are recorded in
+// BENCH_serving.json but never self-gated, so a loaded CI runner cannot
+// flake the job; bench_diff compares the achieved ratio and each op's p99
+// against a baseline report within the tolerances those rows carry.
 //
 // CI runs `serving_bench --smoke` on the Release legs; the scheduled full
 // run produces the checked-in BENCH_serving.json.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
+#include "common/bitwise.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "datagen/world.h"
@@ -43,8 +51,12 @@ using namespace newsdiff;
 
 namespace {
 
+/// bench_diff's tolerances on the rows it has always gated: the achieved
+/// ratio may drop by 0.10, and each op's p99 may grow to 1.5x plus 5 ms.
+constexpr bench::Tolerance kRatioTolerance{0.0, 0.10};
+constexpr bench::Tolerance kP99Tolerance{0.5, 5.0};
+
 struct BenchConfig {
-  bool smoke = false;
   uint64_t seed = 2021;
   double base_rate = 400.0;
   double phase_seconds = 4.0;
@@ -69,7 +81,6 @@ struct BenchConfig {
 
 BenchConfig SmokeConfig() {
   BenchConfig config;
-  config.smoke = true;
   config.base_rate = 200.0;
   config.phase_seconds = 1.5;
   // Shared two-core CI runners legitimately run slower; the smoke floor
@@ -87,38 +98,18 @@ BenchConfig SmokeConfig() {
   return config;
 }
 
-/// Result of the batched-vs-per-call PredictInterest comparison.
-struct InferenceSection {
-  size_t drafts = 0;
-  double per_call_rows_per_s = 0.0;
-  double batched_rows_per_s = 0.0;
-  double speedup = 0.0;
-  /// Isolated model path: identical feature rows through the inference
-  /// server, one Predict call per row vs one call for all rows. Recorded,
-  /// not gated.
-  double model_per_call_rows_per_s = 0.0;
-  double model_batched_rows_per_s = 0.0;
-  double model_speedup = 0.0;
-  bool model_bitwise = false;  ///< Batched row i == per-call row i exactly.
-  uint64_t batches = 0;  ///< Engine forward passes (the isolated path's
-                         ///< InferenceServer calls are not counted).
-  double mean_batch_fill = 0.0;  ///< Rows per forward pass.
-  uint64_t serving_errors = 0;
-  uint64_t model_predictions = 0;
-  uint64_t index_swaps = 0;  ///< Rebuilds completed mid-batched-measurement.
-  uint64_t model_version = 0;  ///< Serving generation at the end.
-  bool ok = false;
-};
-
 /// Measures PredictInterestBatch (all drafts scored in one inference call)
-/// against the per-call path (each PredictInterest scores its own rows).
-/// Correctness is then checked across a live model/index swap — zero
-/// serving errors required.
-InferenceSection RunInferenceComparison(
-    Engine& engine, store::Database& db,
-    const std::vector<std::string>& candidates, const BenchConfig& config) {
+/// against the per-call path (each PredictInterest scores its own rows),
+/// then checks correctness across a live model/index swap, and records the
+/// `inference.*` rows. Gates: both paths answer every draft and the swap
+/// serves without errors, the batched model output is bitwise equal to
+/// per-row calls, the engine's telemetry accounts for the work, and the
+/// end-to-end ratio holds its floor.
+void RunInferenceComparison(Engine& engine, store::Database& db,
+                            const std::vector<std::string>& candidates,
+                            const BenchConfig& config,
+                            bench::Report& report) {
   using Clock = std::chrono::steady_clock;
-  InferenceSection section;
   const size_t k = 10;  // loadgen::DriverOptions::query_k
 
   // Keep only drafts the current index can answer (synthetic ledes may
@@ -129,8 +120,10 @@ InferenceSection RunInferenceComparison(
     if (drafts.size() >= config.predict_drafts) break;
     if (engine.PredictInterest(d, k).ok()) drafts.push_back(d);
   }
-  section.drafts = drafts.size();
-  if (drafts.empty()) return section;
+  if (!report.AtLeast("inference.drafts", static_cast<double>(drafts.size()),
+                      1.0, "drafts")) {
+    return;
+  }
 
   const EngineStatsSnapshot before = engine.stats();
 
@@ -203,13 +196,13 @@ InferenceSection RunInferenceComparison(
       single_rows[i](0, j) = feats(i, j);
     }
   }
-  section.model_bitwise = true;
+  bool model_bitwise = true;
   const Clock::time_point m0 = Clock::now();
   std::vector<la::Matrix> per_row_out(config.model_rows);
   for (size_t i = 0; i < config.model_rows; ++i) {
     serve::InferenceServer::Result r = server->Predict(single_rows[i]);
     if (!r.ok()) {
-      section.model_bitwise = false;
+      model_bitwise = false;
       break;
     }
     per_row_out[i] = std::move(*r);
@@ -222,71 +215,71 @@ InferenceSection RunInferenceComparison(
     if (!batched_out.ok()) break;
   }
   const Clock::time_point m3 = Clock::now();
-  if (!batched_out.ok()) {
-    section.model_bitwise = false;
-  } else if (section.model_bitwise) {
-    for (size_t i = 0; i < config.model_rows; ++i) {
-      for (size_t c = 0; c < batched_out->cols(); ++c) {
-        if ((*batched_out)(i, c) != per_row_out[i](0, c)) {
-          section.model_bitwise = false;
-        }
-      }
-    }
+  if (!batched_out.ok()) model_bitwise = false;
+  for (size_t i = 0; model_bitwise && i < config.model_rows; ++i) {
+    model_bitwise = BitwiseEqual(
+        std::span<const double>(batched_out->RowPtr(i), batched_out->cols()),
+        std::span<const double>(per_row_out[i].data()));
   }
-  const double model_per_call_s =
-      std::chrono::duration<double>(m1 - m0).count();
-  const double model_batched_s =
-      std::chrono::duration<double>(m3 - m2).count();
-  const double model_rows = static_cast<double>(config.model_rows);
-  section.model_per_call_rows_per_s =
-      model_per_call_s > 0.0 ? model_rows / model_per_call_s : 0.0;
-  section.model_batched_rows_per_s =
-      model_batched_s > 0.0
-          ? model_rows * static_cast<double>(config.predict_reps) /
-                model_batched_s
-          : 0.0;
-  section.model_speedup = section.model_per_call_rows_per_s > 0.0
-                              ? section.model_batched_rows_per_s /
-                                    section.model_per_call_rows_per_s
-                              : 0.0;
 
-  const EngineStatsSnapshot after = engine.stats();
-  const double per_call_s = std::chrono::duration<double>(t1 - t0).count();
-  const double batched_s = std::chrono::duration<double>(t3 - t2).count();
+  auto rate = [](double rows, Clock::time_point from, Clock::time_point to) {
+    const double s = std::chrono::duration<double>(to - from).count();
+    return s > 0.0 ? rows / s : 0.0;
+  };
+  auto ratio = [](double num, double den) {
+    return den > 0.0 ? num / den : 0.0;
+  };
+  auto d = [](uint64_t v) { return static_cast<double>(v); };
+  const double model_rows = d(config.model_rows);
+  const double model_per_call = rate(model_rows, m0, m1);
+  const double model_batched =
+      rate(model_rows * d(config.predict_reps), m2, m3);
   const uint64_t total = config.predict_reps * drafts.size();
-  const double totald = static_cast<double>(total);
-  section.per_call_rows_per_s = per_call_s > 0.0 ? totald / per_call_s : 0.0;
-  section.batched_rows_per_s = batched_s > 0.0 ? totald / batched_s : 0.0;
-  section.speedup = section.per_call_rows_per_s > 0.0
-                        ? section.batched_rows_per_s /
-                              section.per_call_rows_per_s
-                        : 0.0;
-  section.batches = after.inference_batches - before.inference_batches;
-  const uint64_t batched_rows =
-      after.inference_batched_rows - before.inference_batched_rows;
-  section.mean_batch_fill =
-      section.batches > 0
-          ? static_cast<double>(batched_rows) /
-                static_cast<double>(section.batches)
-          : 0.0;
-  section.serving_errors = after.serving_errors - before.serving_errors;
-  section.model_predictions =
-      after.model_predictions - before.model_predictions;
-  section.index_swaps = after.index_swaps - swaps_before;
-  section.model_version = engine.generation();
+  const double per_call = rate(d(total), t0, t1);
+  const double batched = rate(d(total), t2, t3);
+  const EngineStatsSnapshot after = engine.stats();
+  const double passes = d(after.inference_batches - before.inference_batches);
 
+  using bench::Better;
+  report.Add("inference.per_call_rows_per_s", per_call, "rows/s",
+             Better::kHigher);
+  report.Add("inference.batched_rows_per_s", batched, "rows/s",
+             Better::kHigher);
+  report.AtLeast("inference.speedup", ratio(batched, per_call),
+                 config.e2e_floor, "x");
+  report.Add("inference.model_per_call_rows_per_s", model_per_call, "rows/s",
+             Better::kHigher);
+  report.Add("inference.model_batched_rows_per_s", model_batched, "rows/s",
+             Better::kHigher);
+  report.Add("inference.model_speedup", ratio(model_batched, model_per_call),
+             "x", Better::kHigher);
+  report.Check("inference.model_bitwise", model_bitwise);
   // Equal error rate: both paths must answer every draft, and the swap
-  // must complete without a serving error. The telemetry cross-check
-  // mirrors the swap counters: the forward passes the engine reports must
-  // account for every prediction made here.
-  const bool clean = section.serving_errors == 0 && per_call_ok == total &&
-                     batched_ok == total && swap_ok == swap_total;
-  const bool telemetry_ok = section.batches > 0 &&
-                            section.model_predictions >= 2 * total &&
-                            section.index_swaps >= 1;
-  section.ok = clean && telemetry_ok && section.model_bitwise &&
-               section.speedup >= config.e2e_floor;
-  return section;
+  // must complete without a serving error.
+  report.AtMost("inference.serving_errors",
+                d(after.serving_errors - before.serving_errors), 0.0,
+                "requests");
+  report.AtMost("inference.per_call_failures", d(total - per_call_ok), 0.0,
+                "requests");
+  report.AtMost("inference.batched_failures", d(total - batched_ok), 0.0,
+                "requests");
+  report.AtMost("inference.swap_failures", d(swap_total - swap_ok), 0.0,
+                "requests");
+  // The telemetry cross-check mirrors the swap counters: the forward
+  // passes the engine reports must account for every prediction made here.
+  report.AtLeast("inference.forward_passes", passes, 1.0, "passes");
+  report.Add("inference.rows_per_pass",
+             ratio(d(after.inference_batched_rows -
+                     before.inference_batched_rows),
+                   passes),
+             "rows", Better::kNone);
+  report.AtLeast("inference.model_predictions",
+                 d(after.model_predictions - before.model_predictions),
+                 d(2 * total), "predictions");
+  report.AtLeast("inference.index_swaps", d(after.index_swaps - swaps_before),
+                 1.0, "swaps");
+  report.Add("inference.generation", d(engine.generation()), "generation",
+             Better::kNone);
 }
 
 void PrintClassRow(const char* scope, size_t cls,
@@ -305,147 +298,47 @@ void PrintClassRow(const char* scope, size_t cls,
       static_cast<double>(s.latency.max_nanos()) / 1.0e6);
 }
 
-void AppendClassJson(std::FILE* f, const loadgen::OpClassStats& s,
-                     size_t cls, bool last) {
-  std::fprintf(
-      f,
-      "      {\"op\": \"%s\", \"issued\": %llu, \"ok\": %llu, "
-      "\"not_found\": %llu, \"errors\": %llu, \"p50_ms\": %.3f, "
-      "\"p99_ms\": %.3f, \"p999_ms\": %.3f, \"max_ms\": %.3f, "
-      "\"mean_service_ms\": %.4f}%s\n",
-      loadgen::OpClassName(static_cast<loadgen::OpClass>(cls)),
-      static_cast<unsigned long long>(s.issued),
-      static_cast<unsigned long long>(s.ok),
-      static_cast<unsigned long long>(s.not_found),
-      static_cast<unsigned long long>(s.errors),
-      s.latency.PercentileMillis(0.50), s.latency.PercentileMillis(0.99),
-      s.latency.PercentileMillis(0.999),
-      static_cast<double>(s.latency.max_nanos()) / 1.0e6,
-      s.service.MeanNanos() / 1.0e6, last ? "" : ",");
-}
-
-bool WriteJson(const std::string& path, const BenchConfig& config,
-               uint64_t trace_hash, const loadgen::RunReport& report,
-               const std::vector<loadgen::PhaseSpec>& phases,
-               const loadgen::SaturationResult& saturation,
-               uint64_t index_swaps, const InferenceSection& inference,
-               bool gates_ok) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", config.smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(config.seed));
-  std::fprintf(f, "  \"trace_hash\": \"%016llx\",\n",
-               static_cast<unsigned long long>(trace_hash));
-  std::fprintf(f, "  \"threads\": %zu,\n", config.threads);
-  std::fprintf(f, "  \"offered_rate\": %.1f,\n", report.offered_rate);
-  std::fprintf(f, "  \"achieved_rate\": %.1f,\n", report.achieved_rate);
-  std::fprintf(f, "  \"achieved_ratio\": %.4f,\n", report.AchievedRatio());
-  std::fprintf(f, "  \"ratio_floor\": %.2f,\n", config.ratio_floor);
-  std::fprintf(f, "  \"requests\": %llu,\n",
-               static_cast<unsigned long long>(report.issued));
-  std::fprintf(f, "  \"errors\": %llu,\n",
-               static_cast<unsigned long long>(report.errors));
-  std::fprintf(f, "  \"index_swaps_under_load\": %llu,\n",
-               static_cast<unsigned long long>(index_swaps));
-  std::fprintf(f, "  \"gates_ok\": %s,\n", gates_ok ? "true" : "false");
-  std::fprintf(f, "  \"inference\": {\n");
-  std::fprintf(f, "    \"drafts\": %zu,\n", inference.drafts);
-  std::fprintf(f, "    \"per_call_rows_per_s\": %.1f,\n",
-               inference.per_call_rows_per_s);
-  std::fprintf(f, "    \"batched_rows_per_s\": %.1f,\n",
-               inference.batched_rows_per_s);
-  std::fprintf(f, "    \"speedup\": %.2f,\n", inference.speedup);
-  std::fprintf(f, "    \"e2e_floor\": %.2f,\n", config.e2e_floor);
-  std::fprintf(f, "    \"model_per_call_rows_per_s\": %.1f,\n",
-               inference.model_per_call_rows_per_s);
-  std::fprintf(f, "    \"model_batched_rows_per_s\": %.1f,\n",
-               inference.model_batched_rows_per_s);
-  std::fprintf(f, "    \"model_speedup\": %.2f,\n", inference.model_speedup);
-  std::fprintf(f, "    \"model_bitwise\": %s,\n",
-               inference.model_bitwise ? "true" : "false");
-  std::fprintf(f, "    \"batches\": %llu,\n",
-               static_cast<unsigned long long>(inference.batches));
-  std::fprintf(f, "    \"mean_batch_fill\": %.1f,\n",
-               inference.mean_batch_fill);
-  std::fprintf(f, "    \"serving_errors\": %llu,\n",
-               static_cast<unsigned long long>(inference.serving_errors));
-  std::fprintf(f, "    \"index_swaps_during_batched\": %llu,\n",
-               static_cast<unsigned long long>(inference.index_swaps));
-  std::fprintf(f, "    \"model_version\": %llu,\n",
-               static_cast<unsigned long long>(inference.model_version));
-  std::fprintf(f, "    \"ok\": %s\n", inference.ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"per_class\": [\n");
-  for (size_t c = 0; c < loadgen::kNumOpClasses; ++c) {
-    AppendClassJson(f, report.per_class[c], c,
-                    c + 1 == loadgen::kNumOpClasses);
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"phases\": [\n");
-  for (size_t p = 0; p < report.per_phase.size(); ++p) {
-    uint64_t issued = 0;
-    double worst_p99 = 0.0;
-    for (size_t c = 0; c < loadgen::kNumOpClasses; ++c) {
-      const loadgen::OpClassStats& s = report.per_phase[p][c];
-      issued += s.issued;
-      if (s.latency.count() > 0) {
-        worst_p99 = std::max(worst_p99, s.latency.PercentileMillis(0.99));
-      }
-    }
-    std::fprintf(f,
-                 "    {\"phase\": \"%s\", \"offered_rate\": %.1f, "
-                 "\"requests\": %llu, \"worst_p99_ms\": %.3f}%s\n",
-                 p < phases.size() ? phases[p].name.c_str() : "?",
-                 p < phases.size() ? phases[p].arrival_rate : 0.0,
-                 static_cast<unsigned long long>(issued), worst_p99,
-                 p + 1 < report.per_phase.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"saturation\": {\n");
-  std::fprintf(f, "    \"max_sustained_rate\": %.1f,\n",
-               saturation.max_sustained_rate);
-  std::fprintf(f, "    \"breaking_rate\": %.1f,\n", saturation.breaking_rate);
-  std::fprintf(f, "    \"steps\": [\n");
-  for (size_t i = 0; i < saturation.steps.size(); ++i) {
-    const loadgen::SaturationStep& s = saturation.steps[i];
-    std::fprintf(f,
-                 "      {\"offered_rate\": %.1f, \"achieved_ratio\": %.4f, "
-                 "\"p99_ms\": %.3f, \"slo_ok\": %s%s%s}%s\n",
-                 s.offered_rate, s.achieved_ratio, s.p99_ms,
-                 s.slo_ok ? "true" : "false",
-                 s.violation.empty() ? "" : ", \"violated\": \"",
-                 s.violation.empty() ? "" : (s.violation + "\"").c_str(),
-                 i + 1 < saturation.steps.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+/// Records the `per_class.<op>.*` rows of one op class. Each p99 carries
+/// bench_diff's tolerance.
+void AddClassRows(bench::Report& report, size_t cls,
+                  const loadgen::OpClassStats& s) {
+  using bench::Better;
+  const std::string prefix =
+      std::string("per_class.") +
+      loadgen::OpClassName(static_cast<loadgen::OpClass>(cls)) + ".";
+  report.Add(prefix + "issued", static_cast<double>(s.issued), "requests",
+             Better::kNone);
+  report.Add(prefix + "not_found", static_cast<double>(s.not_found),
+             "requests", Better::kNone);
+  report.Add(prefix + "p50_ms", s.latency.PercentileMillis(0.50), "ms",
+             Better::kLower);
+  report.Add(prefix + "p99_ms", s.latency.PercentileMillis(0.99), "ms",
+             Better::kLower, kP99Tolerance);
+  report.Add(prefix + "p999_ms", s.latency.PercentileMillis(0.999), "ms",
+             Better::kLower);
+  report.Add(prefix + "max_ms",
+             static_cast<double>(s.latency.max_nanos()) / 1.0e6, "ms",
+             Better::kLower);
+  report.Add(prefix + "mean_service_ms", s.service.MeanNanos() / 1.0e6, "ms",
+             Better::kLower);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig config;
-  std::string out_path = "BENCH_serving.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      config = SmokeConfig();
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const BenchConfig full;
+  bench::Report report("serving_bench", "BENCH_serving.json", full.seed, argc,
+                       argv);
+  const BenchConfig config = report.smoke() ? SmokeConfig() : full;
+  using bench::Better;
   std::printf("=== Serving load harness (%s mode) ===\n\n",
-              config.smoke ? "smoke" : "full");
+              report.mode().c_str());
 
   // World + engine under test. The index lives in memory: this bench
   // measures the serving path, not the filesystem.
   datagen::WorldOptions world_options;
   world_options.seed = config.seed;
-  if (config.smoke) {
+  if (report.smoke()) {
     world_options.num_articles = 1500;
     world_options.num_tweets = 4000;
     world_options.num_users = 600;
@@ -466,8 +359,6 @@ int main(int argc, char** argv) {
               world.articles.size(), world.tweets.size(), built->news_docs,
               built->tweet_docs);
 
-  bool gates_ok = true;
-
   // Gate 1: seed-determinism. The same options must synthesize the same
   // request stream, byte for byte.
   loadgen::WorkloadOptions workload;
@@ -479,12 +370,13 @@ int main(int argc, char** argv) {
   const std::vector<loadgen::Request> trace = generator.GenerateTrace();
   const std::vector<loadgen::Request> replay = generator.GenerateTrace();
   const uint64_t trace_hash = loadgen::TraceHash(trace);
-  const bool deterministic =
-      trace_hash == loadgen::TraceHash(replay) && trace == replay;
-  std::printf("trace: %zu requests, hash=%016llx, deterministic=%s\n",
-              trace.size(), static_cast<unsigned long long>(trace_hash),
-              deterministic ? "ok" : "FAIL");
-  gates_ok = gates_ok && deterministic;
+  char hash_hex[17];
+  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
+                static_cast<unsigned long long>(trace_hash));
+  report.Note("trace_hash", hash_hex);
+  report.Check("trace_deterministic",
+               trace_hash == loadgen::TraceHash(replay) && trace == replay);
+  std::printf("trace: %zu requests, hash=%s\n", trace.size(), hash_hex);
 
   // Measured run with a concurrent index rebuild: the refresher grabs the
   // driver's db mutex (ingests pause while it reads the store) and swaps
@@ -501,39 +393,64 @@ int main(int argc, char** argv) {
                    rebuilt.status().ToString().c_str());
     }
   });
-  const loadgen::RunReport report = driver.Run(trace);
+  const loadgen::RunReport run = driver.Run(trace);
   refresher.join();
   const uint64_t index_swaps = engine.stats().index_swaps - swaps_before;
 
   std::printf("\nrun: offered=%.0f/s achieved=%.0f/s ratio=%.3f "
               "(floor %.2f) errors=%llu index_swaps=%llu\n",
-              report.offered_rate, report.achieved_rate,
-              report.AchievedRatio(), config.ratio_floor,
-              static_cast<unsigned long long>(report.errors),
+              run.offered_rate, run.achieved_rate, run.AchievedRatio(),
+              config.ratio_floor,
+              static_cast<unsigned long long>(run.errors),
               static_cast<unsigned long long>(index_swaps));
-  for (size_t p = 0; p < report.per_phase.size(); ++p) {
+  for (size_t p = 0; p < run.per_phase.size(); ++p) {
     for (size_t c = 0; c < loadgen::kNumOpClasses; ++c) {
-      PrintClassRow(workload.phases[p].name.c_str(), c,
-                    report.per_phase[p][c]);
+      PrintClassRow(workload.phases[p].name.c_str(), c, run.per_phase[p][c]);
     }
   }
 
+  report.Add("threads", static_cast<double>(config.threads), "threads",
+             Better::kNone);
+  report.Add("offered_rate", run.offered_rate, "req/s", Better::kNone);
+  report.Add("achieved_rate", run.achieved_rate, "req/s", Better::kHigher);
+  report.Add("requests", static_cast<double>(run.issued), "requests",
+             Better::kNone);
   // Gate 2: correctness — every request served without a non-NotFound
   // failure, and the concurrent generation swap completed.
-  const bool correctness_ok = report.errors == 0 && index_swaps >= 1;
+  report.AtMost("errors", static_cast<double>(run.errors), 0.0, "requests");
+  report.AtLeast("index_swaps_under_load", static_cast<double>(index_swaps),
+                 1.0, "swaps");
   // Gate 3: SLO-ratio — the driver kept pace with its own schedule.
-  const bool ratio_ok = report.AchievedRatio() >= config.ratio_floor;
-  gates_ok = gates_ok && correctness_ok && ratio_ok;
-  std::printf("\ngates: determinism=%s correctness=%s slo_ratio=%s\n",
-              deterministic ? "ok" : "FAIL", correctness_ok ? "ok" : "FAIL",
-              ratio_ok ? "ok" : "FAIL");
+  report.AtLeast("achieved_ratio", run.AchievedRatio(), config.ratio_floor,
+                 "ratio", kRatioTolerance);
+  for (size_t c = 0; c < loadgen::kNumOpClasses; ++c) {
+    AddClassRows(report, c, run.per_class[c]);
+  }
+  for (size_t p = 0; p < run.per_phase.size() && p < workload.phases.size();
+       ++p) {
+    uint64_t issued = 0;
+    double worst_p99 = 0.0;
+    for (size_t c = 0; c < loadgen::kNumOpClasses; ++c) {
+      const loadgen::OpClassStats& s = run.per_phase[p][c];
+      issued += s.issued;
+      if (s.latency.count() > 0) {
+        worst_p99 = std::max(worst_p99, s.latency.PercentileMillis(0.99));
+      }
+    }
+    const std::string prefix = "phases." + workload.phases[p].name + ".";
+    report.Add(prefix + "offered_rate", workload.phases[p].arrival_rate,
+               "req/s", Better::kNone);
+    report.Add(prefix + "requests", static_cast<double>(issued), "requests",
+               Better::kNone);
+    report.Add(prefix + "worst_p99_ms", worst_p99, "ms", Better::kLower);
+  }
 
   // Saturation search (recorded, not gated): step the offered rate until
   // the latency SLO or the achieved-ratio floor breaks.
   loadgen::SloSpec slo;
-  slo.p99_ms = config.smoke ? 100.0 : 50.0;
-  slo.p50_ms = config.smoke ? 50.0 : 20.0;
-  slo.p999_ms = config.smoke ? 500.0 : 250.0;
+  slo.p99_ms = report.smoke() ? 100.0 : 50.0;
+  slo.p50_ms = report.smoke() ? 50.0 : 20.0;
+  slo.p999_ms = report.smoke() ? 500.0 : 250.0;
   slo.min_achieved_ratio = config.ratio_floor;
   loadgen::WorkloadOptions saturation_base = workload;
   const loadgen::SaturationResult saturation = SaturationSearch(
@@ -542,14 +459,38 @@ int main(int argc, char** argv) {
       config.saturation_window);
   std::printf("\nsaturation search (p99 SLO %.0fms, ratio >= %.2f):\n",
               slo.p99_ms, slo.min_achieved_ratio);
+  std::string broke_on;
   for (const loadgen::SaturationStep& s : saturation.steps) {
     std::printf("  offered=%7.0f/s ratio=%.3f p99=%8.2fms %s%s%s\n",
                 s.offered_rate, s.achieved_ratio, s.p99_ms,
                 s.slo_ok ? "ok" : "broke", s.violation.empty() ? "" : ": ",
                 s.violation.c_str());
+    const std::string prefix =
+        "saturation." + std::to_string(std::lround(s.offered_rate)) + ".";
+    report.Add(prefix + "achieved_ratio", s.achieved_ratio, "ratio",
+               Better::kHigher);
+    report.Add(prefix + "p99_ms", s.p99_ms, "ms", Better::kLower);
+    if (!s.slo_ok && broke_on.empty()) broke_on = s.violation;
   }
-  std::printf("  max sustained: %.0f/s%s\n", saturation.max_sustained_rate,
-              saturation.breaking_rate > 0.0 ? "" : " (never broke)");
+  // A search that never broke measured no limit: it ran out of steps.
+  char verdict[256];
+  if (saturation.breaking_rate > 0.0) {
+    report.Add("saturation.max_sustained_rate", saturation.max_sustained_rate,
+               "req/s", Better::kHigher);
+    report.Add("saturation.breaking_rate", saturation.breaking_rate, "req/s",
+               Better::kHigher);
+    std::snprintf(verdict, sizeof(verdict),
+                  "broke at %.0f req/s (%s); max sustained %.0f req/s",
+                  saturation.breaking_rate, broke_on.c_str(),
+                  saturation.max_sustained_rate);
+  } else {
+    std::snprintf(verdict, sizeof(verdict), "unsaturated at %.0f req/s",
+                  saturation.steps.empty()
+                      ? 0.0
+                      : saturation.steps.back().offered_rate);
+  }
+  report.Note("saturation", verdict);
+  std::printf("  %s\n", verdict);
 
   // Gate 4: batched model path — PredictInterestBatch must hold the
   // end-to-end floor against the per-call path at equal error rate, the
@@ -562,40 +503,6 @@ int main(int argc, char** argv) {
       candidates.push_back(r.text);
     }
   }
-  const InferenceSection inference =
-      RunInferenceComparison(engine, db, candidates, config);
-  std::printf(
-      "\npredict e2e:   drafts=%zu per_call=%.0f/s batched=%.0f/s "
-      "speedup=%.2f (floor %.2f)\n",
-      inference.drafts, inference.per_call_rows_per_s,
-      inference.batched_rows_per_s, inference.speedup, config.e2e_floor);
-  std::printf(
-      "predict model: per_call=%.0f rows/s batched=%.0f rows/s "
-      "speedup=%.2f (recorded) bitwise=%s\n",
-      inference.model_per_call_rows_per_s,
-      inference.model_batched_rows_per_s, inference.model_speedup,
-      inference.model_bitwise ? "ok" : "FAIL");
-  std::printf(
-      "predict telemetry: forward_passes=%llu rows_per_pass=%.1f "
-      "errors=%llu swaps=%llu generation=%llu -> %s\n",
-      static_cast<unsigned long long>(inference.batches),
-      inference.mean_batch_fill,
-      static_cast<unsigned long long>(inference.serving_errors),
-      static_cast<unsigned long long>(inference.index_swaps),
-      static_cast<unsigned long long>(inference.model_version),
-      inference.ok ? "ok" : "FAIL");
-  gates_ok = gates_ok && inference.ok;
-
-  if (!WriteJson(out_path, config, trace_hash, report, workload.phases,
-                 saturation, index_swaps, inference, gates_ok)) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", out_path.c_str());
-  if (!gates_ok) {
-    std::fprintf(stderr,
-                 "\nFAIL: a determinism/correctness/SLO-ratio gate tripped\n");
-    return 1;
-  }
-  return 0;
+  RunInferenceComparison(engine, db, candidates, config, report);
+  return report.Finish();
 }

@@ -193,12 +193,6 @@ StatusOr<index::IndexLoadReport> Engine::LoadIndex() {
   return report;
 }
 
-const index::InvertedIndex* Engine::GetIndex(const std::string& name) const {
-  std::shared_ptr<const IndexMap> snapshot = IndexSnapshot();
-  auto it = snapshot->find(name);
-  return it == snapshot->end() ? nullptr : &it->second;
-}
-
 StatusOr<std::vector<QueryHit>> Engine::QueryOn(
     const ServingData& data, const std::string& index_name,
     const std::vector<std::string>& terms, size_t k,

@@ -220,11 +220,6 @@ class Engine {
   /// readers (and the load driver's workers) query through.
   std::shared_ptr<const IndexMap> IndexSnapshot() const;
 
-  /// The named index ("news" / "tweets") in the current snapshot, or
-  /// nullptr. The pointer is valid until the next swap retires the
-  /// snapshot; concurrent callers should hold IndexSnapshot() instead.
-  const index::InvertedIndex* GetIndex(const std::string& name) const;
-
   /// The serving generation's number (0 = nothing published, or an empty
   /// index directory loaded).
   uint64_t generation() const { return ServingSnapshot()->generation; }
@@ -238,9 +233,6 @@ class Engine {
   serve::InferenceServer* inference_server() const {
     return inference_.get();
   }
-
-  /// Escape hatch to the supervisor for follower/promotion flows.
-  core::PipelineSupervisor& supervisor() { return supervisor_; }
 
  private:
   /// One serving generation: everything a query or prediction reads,

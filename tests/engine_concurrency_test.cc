@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitwise.h"
 #include "core/engine.h"
 #include "datagen/world.h"
 #include "index/index.h"
@@ -30,11 +31,12 @@ bool SameAnswer(const StatusOr<InterestPrediction>& got,
   if (got.ok() != want.ok()) return false;
   if (!want.ok()) return got.status().code() == want.status().code();
   bool same = got->model_reranked && got->generation == want->generation &&
-              got->class_weights == want->class_weights &&
+              BitwiseEqual(got->class_weights, want->class_weights) &&
               got->neighbors.size() == want->neighbors.size();
   for (size_t n = 0; same && n < want->neighbors.size(); ++n) {
     same = got->neighbors[n].doc == want->neighbors[n].doc &&
-           got->neighbors[n].model_score == want->neighbors[n].model_score;
+           SameBits(got->neighbors[n].model_score,
+                    want->neighbors[n].model_score);
   }
   return same;
 }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitwise.h"
 #include "core/collection.h"
 #include "core/preprocess.h"
 #include "datagen/faults.h"
@@ -105,11 +106,13 @@ class EngineFixture : public ::testing::Test {
       const InterestPrediction& g = *got[i];
       const InterestPrediction& w = *want[i];
       EXPECT_EQ(g.generation, w.generation) << where << ", draft " << i;
-      EXPECT_EQ(g.class_weights, w.class_weights) << where << ", draft " << i;
+      EXPECT_TRUE(BitwiseEqual(g.class_weights, w.class_weights))
+          << where << ", draft " << i;
       ASSERT_EQ(g.neighbors.size(), w.neighbors.size()) << where;
       for (size_t n = 0; n < w.neighbors.size(); ++n) {
         EXPECT_EQ(g.neighbors[n].doc, w.neighbors[n].doc) << where;
-        EXPECT_EQ(g.neighbors[n].model_score, w.neighbors[n].model_score)
+        EXPECT_PRED2(SameBits, g.neighbors[n].model_score,
+                     w.neighbors[n].model_score)
             << where;
       }
     }
@@ -183,9 +186,11 @@ TEST_F(EngineFixture, BuildIndexReportsCorpusShapes) {
   EXPECT_GT(report->tweet_terms, 0u);
   EXPECT_EQ(report->generation, 1u);  // in memory: previous + 1
   EXPECT_EQ(engine.generation(), 1u);
-  EXPECT_NE(engine.GetIndex("news"), nullptr);
-  EXPECT_NE(engine.GetIndex("tweets"), nullptr);
-  EXPECT_EQ(engine.GetIndex("nope"), nullptr);
+  const std::shared_ptr<const Engine::IndexMap> indexes =
+      engine.IndexSnapshot();
+  EXPECT_EQ(indexes->count("news"), 1u);
+  EXPECT_EQ(indexes->count("tweets"), 1u);
+  EXPECT_EQ(indexes->count("nope"), 0u);
 }
 
 TEST_F(EngineFixture, QueryTrendingRanksAndJoinsDocInfo) {
@@ -227,7 +232,7 @@ TEST_F(EngineFixture, QueryTrendingMatchesBruteForceRanking) {
   ASSERT_EQ(hits->size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ((*hits)[i].doc, want[i].doc);
-    EXPECT_EQ((*hits)[i].score, want[i].score);  // bitwise
+    EXPECT_PRED2(SameBits, (*hits)[i].score, want[i].score);
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitwise.h"
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "corpus/corpus.h"
@@ -139,7 +140,7 @@ void ExpectSameRanking(const std::vector<SearchResult>& got,
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
-    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;  // bitwise
+    EXPECT_PRED2(SameBits, got[i].score, want[i].score) << "rank " << i;
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitwise.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "corpus/corpus.h"
@@ -70,12 +71,8 @@ void ExpectRowBitwise(const la::Matrix& got, size_t got_row,
   const double* g = got.RowPtr(got_row);
   const double* w = want.RowPtr(want_row);
   for (size_t c = 0; c < got.cols(); ++c) {
-    EXPECT_EQ(g[c], w[c]) << "row " << got_row << " col " << c;
+    EXPECT_PRED2(SameBits, g[c], w[c]) << "row " << got_row << " col " << c;
   }
-}
-
-bool Bitwise(const la::Matrix& a, const la::Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() && a.data() == b.data();
 }
 
 TEST(InferenceServerTest, RejectsBeforeModelLoaded) {
@@ -136,8 +133,8 @@ TEST(InferenceServerTest, ReloadSwapsGenerationAndRepacks) {
   current.Set(Served(99));  // different init: different outputs
   auto v2 = server.Predict(features);
   ASSERT_TRUE(v2.ok());
-  EXPECT_TRUE(Bitwise(*v2, TestModel(99).PredictProba(features)));
-  EXPECT_FALSE(Bitwise(*v1, *v2))
+  EXPECT_TRUE(BitwiseEqual(*v2, TestModel(99).PredictProba(features)));
+  EXPECT_FALSE(BitwiseEqual(*v1, *v2))
       << "new generation must actually serve new weights";
 }
 
@@ -162,7 +159,7 @@ TEST(InferenceConcurrencyTest, ConcurrentSubmittersGetConsistentAnswers) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         auto served = model.Predict(inputs[t][i]);
-        if (!served.ok() || !Bitwise(*served, want[t][i])) ++mismatches;
+        if (!served.ok() || !BitwiseEqual(*served, want[t][i])) ++mismatches;
       }
     });
   }
@@ -198,7 +195,7 @@ TEST(InferenceConcurrencyTest, HotSwapRacesInFlightBatches) {
   const la::Matrix features = RandomFeatures(2, 1);
   auto last = server.Predict(features);
   ASSERT_TRUE(last.ok());
-  EXPECT_TRUE(Bitwise(*last, TestModel(52).PredictProba(features)));
+  EXPECT_TRUE(BitwiseEqual(*last, TestModel(52).PredictProba(features)));
 }
 
 // Features read back from an index's postings equal the corpus-derived
@@ -238,8 +235,8 @@ TEST(InferenceFeaturesTest, FeaturizeIndexMatchesFeaturizeCorpusBitwise) {
   ASSERT_TRUE(parsed.ok());
 
   const la::Matrix want = featurizer.FeaturizeCorpus(corpus);
-  EXPECT_TRUE(Bitwise(featurizer.FeaturizeIndex(*built), want));
-  EXPECT_TRUE(Bitwise(featurizer.FeaturizeIndex(*parsed), want));
+  EXPECT_TRUE(BitwiseEqual(featurizer.FeaturizeIndex(*built), want));
+  EXPECT_TRUE(BitwiseEqual(featurizer.FeaturizeIndex(*parsed), want));
   for (size_t row : {0, 1}) {
     for (size_t c = 0; c < kFeatureDim; ++c) EXPECT_EQ(want(row, c), 0.0);
   }

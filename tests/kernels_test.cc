@@ -4,7 +4,6 @@
 // the CSR products against the serial scatter loop, and the 64-byte
 // alignment invariant of Matrix storage. The ParallelKernels suite runs
 // under tsan in CI (selected by the `Parallel` test-name regex).
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitwise.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "la/kernels.h"
@@ -51,14 +51,6 @@ void ExpectNear(const Matrix& got, const Matrix& want, double rel) {
     double tol = rel * std::max(1.0, std::abs(want.data()[i]));
     EXPECT_NEAR(got.data()[i], want.data()[i], tol) << "flat index " << i;
   }
-}
-
-/// Equal bit patterns, so +0.0 and -0.0 differ. Two NaNs match whatever
-/// their payloads: when two NaNs meet, x86 keeps the first operand's, and
-/// the compiler may commute a multiply or an add.
-bool SameBits(double a, double b) {
-  if (std::isnan(a) && std::isnan(b)) return true;
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
 void ExpectBitwise(const Matrix& got, const Matrix& want) {

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bitwise.h"
 #include "common/rng.h"
 
 namespace newsdiff::la {
@@ -113,11 +115,30 @@ TEST(MatrixTest, ClampMin) {
   EXPECT_EQ(a(0, 4), inf);
 }
 
-/// Equal bit patterns; two NaNs match whatever their payloads, which
-/// follow operand order when two NaNs meet.
-bool SameBits(double a, double b) {
-  if (std::isnan(a) && std::isnan(b)) return true;
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+// The exactness gates' comparator: +0.0 and -0.0 differ, which double
+// == lets pass; any two NaNs match whatever their payloads; matrices must
+// also agree in shape.
+TEST(BitwiseTest, SignedZerosDifferAndNaNsMatch) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = std::bit_cast<double>(0xfff0000000000001ull);
+  ASSERT_TRUE(std::isnan(other_nan));
+  EXPECT_FALSE(SameBits(0.0, -0.0));
+  EXPECT_TRUE(SameBits(-0.0, -0.0));
+  EXPECT_TRUE(SameBits(nan, other_nan));
+  EXPECT_FALSE(SameBits(nan, 0.0));
+  EXPECT_TRUE(SameBits(1.5, 1.5));
+
+  Matrix a(2, 3), b(2, 3);
+  b(1, 2) = -0.0;
+  ASSERT_TRUE(a.data() == b.data());
+  EXPECT_FALSE(BitwiseEqual(a, b));
+  b(1, 2) = 0.0;
+  EXPECT_TRUE(BitwiseEqual(a, b));
+  EXPECT_FALSE(BitwiseEqual(a, Matrix(3, 2)));
+  const std::vector<double> x = {nan, 0.0}, y = {other_nan, -0.0};
+  EXPECT_FALSE(BitwiseEqual(x, y));
+  EXPECT_TRUE(BitwiseEqual(x, std::vector<double>{other_nan, 0.0}));
+  EXPECT_FALSE(BitwiseEqual(x, std::vector<double>{nan}));
 }
 
 // The fused update against the three passes it replaced (multiply, then

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitwise.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/time.h"
@@ -46,11 +47,6 @@ la::CsrMatrix RandomCsr(size_t rows, size_t cols, double density,
     }
   }
   return la::CsrMatrix::FromTriplets(rows, cols, triplets);
-}
-
-bool BitwiseEqual(const la::Matrix& a, const la::Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return a.data() == b.data();  // exact double comparison, element-wise
 }
 
 const Parallelism kPar4{.threads = 4};

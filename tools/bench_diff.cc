@@ -1,264 +1,84 @@
-// bench_diff: compare a freshly generated BENCH_serving.json against the
-// checked-in baseline and fail when serving quality regressed.
+// bench_diff: compare a fresh bench report against a baseline report of the
+// same bench (bench/report.h), row by row, matched by metric name.
 //
 // Usage:
 //   bench_diff <baseline.json> <fresh.json> [--out report.txt]
-//              [--ratio-tol 0.10] [--p99-tol 0.50] [--p99-slack-ms 5.0]
 //
-// Gates (only when both files were produced in the same mode):
-//   * achieved/offered ratio must not drop more than --ratio-tol (absolute)
-//     below the baseline,
-//   * per-op p99 latency must not exceed baseline * (1 + --p99-tol) once
-//     past an absolute slack of --p99-slack-ms (tiny baselines are noise),
-//   * the fresh run's own gates (`gates_ok`, `inference.ok`) must hold and
-//     serving error counts must stay zero.
-//
-// When the two files disagree on "mode" (e.g. checked-in full vs CI smoke)
-// absolute numbers are not comparable: the tool prints a report-only diff
-// and exits 0 so CI smoke runs never fight the reference-machine baseline.
-// The report is always written (stdout, plus --out for a CI artifact).
+// Exits 1 when the fresh run failed one of its own self-gates, when a
+// gated baseline row is missing from the fresh report, or when a row moved
+// the worse way beyond the tolerance its baseline row carries. Rows without
+// a tolerance are printed, not gated. When the two runs differ in mode or
+// seed (e.g. a checked-in full run against a CI smoke run), the row
+// comparisons are report-only, but a failed fresh self-gate still exits 1.
+// The report is printed, and also written to --out for a CI artifact.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "common/file_io.h"
-#include "common/status.h"
-#include "store/json.h"
-#include "store/value.h"
+
+using newsdiff::DefaultFileIo;
+using newsdiff::StatusOr;
+using newsdiff::bench::Report;
 
 namespace {
 
-using newsdiff::DefaultFileIo;
-using newsdiff::FileIo;
-using newsdiff::StatusOr;
-using newsdiff::store::ParseJson;
-using newsdiff::store::Value;
-
-struct Options {
-  std::string baseline_path;
-  std::string fresh_path;
-  std::string out_path;
-  double ratio_tol = 0.10;    // absolute drop in achieved/offered ratio
-  double p99_tol = 0.50;      // relative p99 growth beyond the slack
-  double p99_slack_ms = 5.0;  // absolute p99 noise floor
-};
-
-struct Report {
-  std::string text;
-  bool comparable = true;  // same mode on both sides
-  std::vector<std::string> failures;
-
-  void Line(const std::string& s) {
-    text += s;
-    text += '\n';
-  }
-  void Fail(const std::string& s) {
-    failures.push_back(s);
-    Line("FAIL  " + s);
-  }
-  void Ok(const std::string& s) { Line("  ok  " + s); }
-};
-
-double Field(const Value& doc, const std::string& key, double fallback) {
-  const Value* v = doc.Find(key);
-  return v == nullptr ? fallback : v->AsDouble(fallback);
-}
-
-std::string Fmt(const char* fmt, double a) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), fmt, a);
-  return buf;
-}
-
-std::string Fmt(const char* fmt, double a, double b) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), fmt, a, b);
-  return buf;
-}
-
-StatusOr<Value> Load(FileIo& io, const std::string& path) {
-  StatusOr<std::string> bytes = io.ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseJson(*bytes);
-}
-
-/// Finds the per_class row for `op`, or nullptr.
-const Value* FindOpRow(const Value& doc, const std::string& op) {
-  const Value* rows = doc.Find("per_class");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const Value& row : rows->array()) {
-    const Value* name = row.Find("op");
-    if (name != nullptr && name->AsString() == op) return &row;
-  }
-  return nullptr;
-}
-
-void Compare(const Value& base, const Value& fresh, const Options& opt,
-             Report* report) {
-  const std::string base_mode =
-      base.Find("mode") ? base.Find("mode")->AsString() : "?";
-  const std::string fresh_mode =
-      fresh.Find("mode") ? fresh.Find("mode")->AsString() : "?";
-  report->Line("baseline: mode=" + base_mode + "  " + opt.baseline_path);
-  report->Line("fresh:    mode=" + fresh_mode + "  " + opt.fresh_path);
-  report->Line("");
-
-  if (base_mode != fresh_mode) {
-    report->comparable = false;
-    report->Line("mode mismatch: absolute numbers are not comparable;");
-    report->Line("report only, no gates applied.");
-    report->Line("");
-  }
-
-  // The fresh run must pass its own self-gates regardless of mode.
-  const Value* gates = fresh.Find("gates_ok");
-  if (gates == nullptr || !gates->is_bool() || !gates->bool_value()) {
-    report->Fail("fresh run reports gates_ok=false");
-  } else {
-    report->Ok("fresh gates_ok");
-  }
-  const Value* inf = fresh.Find("inference");
-  if (inf != nullptr) {
-    const Value* inf_ok = inf->Find("ok");
-    if (inf_ok == nullptr || !inf_ok->is_bool() || !inf_ok->bool_value()) {
-      report->Fail("fresh inference section reports ok=false");
-    } else {
-      report->Ok("fresh inference.ok");
-    }
-    const double errs = Field(*inf, "serving_errors", 0);
-    if (errs > 0) {
-      report->Fail(Fmt("fresh inference serving_errors=%.0f (want 0)", errs));
-    }
-  }
-  const double errors = Field(fresh, "errors", 0);
-  if (errors > 0) {
-    report->Fail(Fmt("fresh run has %.0f serving errors (want 0)", errors));
-  } else {
-    report->Ok("fresh errors=0");
-  }
-
-  const double base_ratio = Field(base, "achieved_ratio", 0);
-  const double fresh_ratio = Field(fresh, "achieved_ratio", 0);
-  const std::string ratio_line =
-      Fmt("achieved_ratio %.4f -> %.4f", base_ratio, fresh_ratio);
-  if (!report->comparable) {
-    report->Line("      " + ratio_line);
-  } else if (fresh_ratio + opt.ratio_tol < base_ratio) {
-    report->Fail(ratio_line + Fmt(" (drop > %.2f tolerance)", opt.ratio_tol));
-  } else {
-    report->Ok(ratio_line);
-  }
-
-  const Value* rows = base.Find("per_class");
-  if (rows != nullptr && rows->is_array()) {
-    for (const Value& row : rows->array()) {
-      const Value* name = row.Find("op");
-      if (name == nullptr) continue;
-      const std::string op = name->AsString();
-      const Value* fresh_row = FindOpRow(fresh, op);
-      if (fresh_row == nullptr) {
-        if (report->comparable) {
-          report->Fail("op '" + op + "' missing from fresh per_class rows");
-        }
-        continue;
-      }
-      const double base_p99 = Field(row, "p99_ms", 0);
-      const double fresh_p99 = Field(*fresh_row, "p99_ms", 0);
-      const std::string line =
-          op + Fmt(" p99_ms %.3f -> %.3f", base_p99, fresh_p99);
-      const double budget =
-          base_p99 * (1.0 + opt.p99_tol) + opt.p99_slack_ms;
-      if (!report->comparable) {
-        report->Line("      " + line);
-      } else if (fresh_p99 > budget) {
-        report->Fail(line + Fmt(" (budget %.3f ms)", budget));
-      } else {
-        report->Ok(line);
-      }
-    }
-  }
-}
-
 int Usage() {
   std::fprintf(stderr,
-               "usage: bench_diff <baseline.json> <fresh.json>\n"
-               "                  [--out report.txt] [--ratio-tol F]\n"
-               "                  [--p99-tol F] [--p99-slack-ms F]\n");
+               "usage: bench_diff <baseline.json> <fresh.json> "
+               "[--out report.txt]\n");
   return 2;
+}
+
+StatusOr<Report> Load(const std::string& path) {
+  StatusOr<std::string> bytes = DefaultFileIo().ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return Report::Parse(*bytes);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  std::vector<std::string> positional;
+  std::string out_path;
+  std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      opt.out_path = v;
-    } else if (arg == "--ratio-tol") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      opt.ratio_tol = std::atof(v);
-    } else if (arg == "--p99-tol") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      opt.p99_tol = std::atof(v);
-    } else if (arg == "--p99-slack-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      opt.p99_slack_ms = std::atof(v);
-    } else if (arg == "--help" || arg == "-h") {
+    if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
+    } else if (arg.starts_with("-")) {
       return Usage();
     } else {
-      positional.push_back(arg);
+      paths.push_back(arg);
     }
   }
-  if (positional.size() != 2) return Usage();
-  opt.baseline_path = positional[0];
-  opt.fresh_path = positional[1];
+  if (paths.size() != 2) return Usage();
 
-  FileIo& io = DefaultFileIo();
-  StatusOr<Value> base = Load(io, opt.baseline_path);
-  if (!base.ok()) {
-    std::fprintf(stderr, "bench_diff: %s: %s\n", opt.baseline_path.c_str(),
-                 base.status().message().c_str());
-    return 2;
-  }
-  StatusOr<Value> fresh = Load(io, opt.fresh_path);
-  if (!fresh.ok()) {
-    std::fprintf(stderr, "bench_diff: %s: %s\n", opt.fresh_path.c_str(),
-                 fresh.status().message().c_str());
-    return 2;
+  std::vector<Report> reports;
+  for (const std::string& path : paths) {
+    StatusOr<Report> r = Load(path);
+    if (!r.ok()) {
+      std::fprintf(stderr, "bench_diff: %s: %s\n", path.c_str(),
+                   r.status().message().c_str());
+      return 2;
+    }
+    reports.push_back(std::move(*r));
   }
 
-  Report report;
-  Compare(*base, *fresh, opt, &report);
-  report.Line("");
-  if (!report.comparable) {
-    report.Line("RESULT: report-only (mode mismatch), not gated");
-  } else if (report.failures.empty()) {
-    report.Line("RESULT: PASS");
-  } else {
-    report.Line("RESULT: FAIL (" + std::to_string(report.failures.size()) +
-                " regression(s))");
-  }
-
-  std::fputs(report.text.c_str(), stdout);
-  if (!opt.out_path.empty()) {
-    const newsdiff::Status wrote = io.WriteFile(opt.out_path, report.text);
+  const newsdiff::bench::Diff diff =
+      newsdiff::bench::DiffReports(reports[0], reports[1]);
+  const std::string text =
+      "baseline file: " + paths[0] + "\nfresh file:    " + paths[1] + "\n" +
+      diff.text;
+  std::fputs(text.c_str(), stdout);
+  if (!out_path.empty()) {
+    const newsdiff::Status wrote = DefaultFileIo().WriteFile(out_path, text);
     if (!wrote.ok()) {
       std::fprintf(stderr, "bench_diff: cannot write %s: %s\n",
-                   opt.out_path.c_str(), wrote.message().c_str());
+                   out_path.c_str(), wrote.message().c_str());
       return 2;
     }
   }
-  return report.comparable && !report.failures.empty() ? 1 : 0;
+  return diff.failures > 0 ? 1 : 0;
 }
