@@ -1,11 +1,12 @@
 // Micro-benchmarks for the substrates (google-benchmark): tokenizer
 // throughput, the three §4.2 corpus builds, TFIDF matrix build, one NMF
-// iteration, MABED detection, one Word2Vec sentence, dense/conv
-// forward+backward, store insert/find.
+// iteration, the refresh's two MABED detections, one Word2Vec sentence,
+// dense/conv forward+backward, store insert/find.
 #include <benchmark/benchmark.h>
 
 #include "core/assignment.h"
 #include "core/collection.h"
+#include "core/pipeline.h"
 #include "core/preprocess.h"
 #include "corpus/weighting.h"
 #include "embed/pvdbow.h"
@@ -154,25 +155,42 @@ void BM_NmfIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_NmfIteration)->Arg(8)->Arg(24);
 
-void BM_MabedDetect(benchmark::State& state) {
-  static const corpus::Corpus* kCorp = [] {
-    corpus::Corpus* corp = new corpus::Corpus();
-    for (const datagen::Tweet& tw : SharedWorld().tweets) {
-      corp->AddDocument(text::PreprocessTwitterED(tw.text), tw.created,
-                        tw.id);
-    }
-    return corp;
+// The refresh's two detections: PipelineOptions' news and Twitter MABED
+// settings over the NewsED and TwitterED corpora of a world the size of
+// perfbench's offline_refresh (1200 articles, 3500 tweets, 600 users),
+// read back through the store.
+struct RefreshCorpora {
+  corpus::Corpus news_ed;
+  corpus::Corpus twitter_ed;
+};
+
+const RefreshCorpora& RefreshWorldCorpora() {
+  static const RefreshCorpora* kCorpora = [] {
+    datagen::WorldOptions opts;
+    opts.seed = 7;
+    opts.num_articles = 1200;
+    opts.num_tweets = 3500;
+    opts.num_users = 600;
+    store::Database db;
+    datagen::GenerateWorld(opts).LoadInto(db);
+    return new RefreshCorpora{core::BuildNewsED(*core::LoadNews(db)),
+                              core::BuildTwitterED(*core::LoadTweets(db))};
   }();
+  return *kCorpora;
+}
+
+void BM_MabedDetect(benchmark::State& state, bool twitter) {
+  const core::PipelineOptions defaults;
+  const RefreshCorpora& corpora = RefreshWorldCorpora();
+  event::Mabed mabed(twitter ? defaults.twitter_mabed : defaults.news_mabed);
   for (auto _ : state) {
-    event::MabedOptions opts;
-    opts.max_events = 20;
-    opts.min_support = 5;
-    event::Mabed mabed(opts);
-    auto events = mabed.Detect(*kCorp);
+    auto events = mabed.Detect(twitter ? corpora.twitter_ed : corpora.news_ed);
     benchmark::DoNotOptimize(events);
   }
 }
-BENCHMARK(BM_MabedDetect);
+BENCHMARK_CAPTURE(BM_MabedDetect, news, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MabedDetect, twitter, true)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Word2VecEpoch(benchmark::State& state) {
   static const auto* kSentences = new std::vector<std::vector<std::string>>(

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "text/stopwords.h"
 
 namespace newsdiff::event {
 namespace {
 
-/// Per-term sparse mention counts: (slice, count) pairs sorted by slice.
+/// Per-term sparse mention counts: (slice, count) pairs sorted by slice,
+/// and the term's posting list, the ids of the documents that contain it
+/// in corpus order (so its length is the term's total count).
 struct SliceCounts {
   std::vector<std::pair<uint32_t, uint32_t>> entries;
-  uint64_t total = 0;
+  std::vector<uint32_t> docs;
 };
 
 /// Candidate event before related-word expansion.
@@ -36,7 +37,7 @@ void MaxAnomalyInterval(const SliceCounts& counts,
   double best = -1.0;
   size_t bs = 0, be = 0;
   size_t entry = 0;
-  const double total = static_cast<double>(counts.total);
+  const double total = static_cast<double>(counts.docs.size());
   for (size_t i = 0; i < num_slices; ++i) {
     double observed = 0.0;
     if (entry < counts.entries.size() && counts.entries[entry].first == i) {
@@ -59,6 +60,14 @@ void MaxAnomalyInterval(const SliceCounts& counts,
   *best_sum = best;
 }
 
+/// rho in [-1, 1] (Eq. 10, corrected Erdem coefficient) from the summed
+/// difference products, mapped to [0, 1] by Eq. 9: w = (rho + 1) / 2.
+double WeightFromSums(double num, double var_main, double var_cand) {
+  if (var_main <= 0.0 || var_cand <= 0.0) return 0.0;
+  double rho = num / std::sqrt(var_main * var_cand);
+  return (rho + 1.0) / 2.0;
+}
+
 }  // namespace
 
 double RelatedWordWeight(const std::vector<double>& main_series,
@@ -74,12 +83,58 @@ double RelatedWordWeight(const std::vector<double>& main_series,
     var_main += dm * dm;
     var_cand += dc * dc;
   }
-  if (var_main <= 0.0 || var_cand <= 0.0) return 0.0;
-  // rho in [-1, 1] (Eq. 10, corrected Erdem coefficient), mapped to [0, 1]
-  // by Eq. 9: w = (rho + 1) / 2.
-  double rho = num / std::sqrt(var_main * var_cand);
-  return (rho + 1.0) / 2.0;
+  return WeightFromSums(num, var_main, var_cand);
 }
+
+namespace internal {
+
+MainWordDiffs DiffMainSeries(const std::vector<double>& main_series,
+                             size_t first_slice) {
+  MainWordDiffs main;
+  main.first_slice = first_slice;
+  main.diffs.assign(main_series.size(), 0.0);
+  for (size_t i = 1; i < main_series.size(); ++i) {
+    main.diffs[i] = main_series[i] - main_series[i - 1];
+    main.variance += main.diffs[i] * main.diffs[i];
+  }
+  return main;
+}
+
+double SparseRelatedWordWeight(
+    const MainWordDiffs& main,
+    std::span<const std::pair<uint32_t, uint32_t>> entries) {
+  const size_t n = main.diffs.size();
+  if (n < 3) return 0.0;
+  const size_t a = main.first_slice;
+  const size_t b = a + n - 1;
+  const auto first = std::lower_bound(
+      entries.begin(), entries.end(), a,
+      [](const std::pair<uint32_t, uint32_t>& e, size_t slice) {
+        return e.first < slice;
+      });
+  double num = 0.0, var_cand = 0.0;
+  auto add = [&](size_t i, double dc) {
+    num += main.diffs[i] * dc;
+    var_cand += dc * dc;
+  };
+  // At an entry's index i the difference is its count minus the previous
+  // slice's (0 unless an entry in [a, b] is there); just after it, unless
+  // the next entry is there, 0 minus its count.
+  for (auto it = first; it != entries.end() && it->first <= b; ++it) {
+    const size_t i = it->first - a;
+    const double count = it->second;
+    const bool prev_adjacent = it != first && (it - 1)->first + 1 == it->first;
+    const bool next_adjacent =
+        it + 1 != entries.end() && (it + 1)->first == it->first + 1;
+    if (i >= 1) {
+      add(i, count - (prev_adjacent ? (it - 1)->second : 0.0));
+    }
+    if (i + 1 < n && !next_adjacent) add(i + 1, 0.0 - count);
+  }
+  return WeightFromSums(num, main.variance, var_cand);
+}
+
+}  // namespace internal
 
 bool Mabed::DocumentBelongsToEvent(const corpus::Document& doc,
                                    const Event& ev,
@@ -127,24 +182,24 @@ StatusOr<std::vector<Event>> Mabed::Detect(const corpus::Corpus& corp) const {
   const size_t vocab_size = corp.vocabulary().size();
   std::vector<SliceCounts> counts(vocab_size);
   std::vector<uint32_t> docs_per_slice(s, 0);
+  std::vector<uint32_t> doc_slice(corp.size());
 
   // Documents are scanned once; counts are appended in slice order per term
   // as long as documents arrive time-sorted. A final sort fixes any
-  // unsorted input.
-  std::vector<uint32_t> scratch;
-  for (const corpus::Document& doc : corp.docs()) {
-    uint32_t slice = static_cast<uint32_t>(slicer.SliceOf(doc.timestamp));
+  // unsorted input. Posting lists are in document order either way.
+  for (size_t d = 0; d < corp.size(); ++d) {
+    const corpus::Document& doc = corp.doc(d);
+    const uint32_t slice = static_cast<uint32_t>(slicer.SliceOf(doc.timestamp));
+    doc_slice[d] = slice;
     ++docs_per_slice[slice];
-    scratch.clear();
-    for (const corpus::TermCount& tc : doc.counts) scratch.push_back(tc.term);
-    for (uint32_t term : scratch) {
-      SliceCounts& sc = counts[term];
+    for (const corpus::TermCount& tc : doc.counts) {
+      SliceCounts& sc = counts[tc.term];
       if (!sc.entries.empty() && sc.entries.back().first == slice) {
         ++sc.entries.back().second;
       } else {
         sc.entries.emplace_back(slice, 1);
       }
-      ++sc.total;
+      sc.docs.push_back(static_cast<uint32_t>(d));
     }
   }
   // Per-term fixups are independent; shard over the vocabulary.
@@ -177,12 +232,6 @@ StatusOr<std::vector<Event>> Mabed::Detect(const corpus::Corpus& corp) const {
     slice_share[i] = static_cast<double>(docs_per_slice[i]) / total_docs;
   }
 
-  // Slice -> document ids, so candidate expansion only scans interval docs.
-  std::vector<std::vector<uint32_t>> docs_by_slice(s);
-  for (size_t d = 0; d < corp.size(); ++d) {
-    docs_by_slice[slicer.SliceOf(corp.doc(d).timestamp)].push_back(
-        static_cast<uint32_t>(d));
-  }
   stats_.partition_seconds = timer.ElapsedSeconds();
   timer.Restart();
 
@@ -241,6 +290,18 @@ StatusOr<std::vector<Event>> Mabed::Detect(const corpus::Corpus& corp) const {
     return inter / shorter >= options_.duplicate_overlap;
   };
 
+  // Reused across candidates: co-occurrence counts by term, zero between
+  // candidates, and each probed term's stopword flag (-1 until looked up).
+  std::vector<uint32_t> cooc(vocab_size, 0);
+  std::vector<std::pair<uint32_t, uint32_t>> by_cooc;
+  std::vector<int8_t> stopword(vocab_size, -1);
+  auto is_stopword = [&](uint32_t term) {
+    if (stopword[term] < 0) {
+      stopword[term] = text::IsStopword(corp.vocabulary().Term(term));
+    }
+    return stopword[term] == 1;
+  };
+
   for (size_t ci = 0; ci < examine_limit && events.size() < options_.max_events;
        ++ci) {
     const Candidate& cand = candidates[ci];
@@ -262,56 +323,52 @@ StatusOr<std::vector<Event>> Mabed::Detect(const corpus::Corpus& corp) const {
       if (a == 0 && b + 1 >= s) break;
     }
 
-    // Main-word series over [a, b].
-    const size_t len = b - a + 1;
-    std::vector<double> main_series(len, 0.0);
+    // Main-word differences over [a, b], shared by every probe.
+    std::vector<double> main_series(b - a + 1, 0.0);
     for (const auto& [slice, c] : counts[cand.term].entries) {
       if (slice >= a && slice <= b) main_series[slice - a] = c;
     }
+    const internal::MainWordDiffs main =
+        internal::DiffMainSeries(main_series, a);
 
-    // Candidate related words: co-occurring terms in interval documents
-    // containing the main word; count support while at it.
-    std::unordered_map<uint32_t, uint32_t> cooc;
+    // Candidate related words: co-occurring terms in the interval documents
+    // containing the main word, read off its posting list; count support
+    // while at it. by_cooc lists each term on its first hit, and takes its
+    // count once the list is done.
     size_t support = 0;
-    for (size_t slice = ev.start_slice; slice <= ev.end_slice; ++slice) {
-      for (uint32_t d : docs_by_slice[slice]) {
-        const corpus::Document& doc = corp.doc(d);
-        // counts are sorted by term id, so membership is a binary search.
-        auto it = std::lower_bound(
-            doc.counts.begin(), doc.counts.end(), cand.term,
-            [](const corpus::TermCount& tc, uint32_t t) { return tc.term < t; });
-        if (it == doc.counts.end() || it->term != cand.term) continue;
-        ++support;
-        for (const corpus::TermCount& tc : doc.counts) {
-          if (tc.term != cand.term) ++cooc[tc.term];
+    by_cooc.clear();
+    for (uint32_t d : counts[cand.term].docs) {
+      if (doc_slice[d] < ev.start_slice || doc_slice[d] > ev.end_slice) {
+        continue;
+      }
+      ++support;
+      for (const corpus::TermCount& tc : corp.doc(d).counts) {
+        if (tc.term != cand.term && cooc[tc.term]++ == 0) {
+          by_cooc.emplace_back(tc.term, 0);
         }
       }
+    }
+    for (auto& [term, n] : by_cooc) {
+      n = cooc[term];
+      cooc[term] = 0;
     }
     ev.support = support;
     if (support < options_.min_support) continue;
 
-    // Keep the strongest co-occurring terms as correlation candidates.
-    std::vector<std::pair<uint32_t, uint32_t>> by_cooc(cooc.begin(),
-                                                       cooc.end());
-    std::sort(by_cooc.begin(), by_cooc.end(),
-              [](const auto& x, const auto& y) {
-                if (x.second != y.second) return x.second > y.second;
-                return x.first < y.first;
-              });
+    // Keep the strongest co-occurring terms as correlation candidates. The
+    // order is strict and total, so the first 64 are those of a full sort.
     const size_t probe = std::min<size_t>(by_cooc.size(), 64);
+    std::partial_sort(by_cooc.begin(), by_cooc.begin() + probe, by_cooc.end(),
+                      [](const auto& x, const auto& y) {
+                        if (x.second != y.second) return x.second > y.second;
+                        return x.first < y.first;
+                      });
     std::vector<std::pair<double, uint32_t>> weighted;
-    std::vector<double> cand_series(len);
     for (size_t i = 0; i < probe; ++i) {
-      uint32_t term = by_cooc[i].first;
-      if (options_.filter_stopword_mains &&
-          text::IsStopword(corp.vocabulary().Term(term))) {
-        continue;
-      }
-      std::fill(cand_series.begin(), cand_series.end(), 0.0);
-      for (const auto& [slice, c] : counts[term].entries) {
-        if (slice >= a && slice <= b) cand_series[slice - a] = c;
-      }
-      double w = RelatedWordWeight(main_series, cand_series);
+      const uint32_t term = by_cooc[i].first;
+      if (options_.filter_stopword_mains && is_stopword(term)) continue;
+      const double w =
+          internal::SparseRelatedWordWeight(main, counts[term].entries);
       if (w >= options_.min_related_weight) {
         weighted.emplace_back(w, term);
       }

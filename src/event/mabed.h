@@ -2,7 +2,9 @@
 #define NEWSDIFF_EVENT_MABED_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -106,6 +108,36 @@ class Mabed {
 /// Implements the corrected Erdem et al. coefficient (see DESIGN.md).
 double RelatedWordWeight(const std::vector<double>& main_series,
                          const std::vector<double>& candidate_series);
+
+namespace internal {
+
+/// The main word's half of Eq. 10 over [a, b], shared by every word probed
+/// against it: diffs[i] = N_{a+i} - N_{a+i-1} for i = 1 .. b-a (diffs[0]
+/// is 0) and `variance`, their squares summed in ascending i, as
+/// RelatedWordWeight sums them.
+struct MainWordDiffs {
+  size_t first_slice = 0;
+  std::vector<double> diffs;
+  double variance = 0.0;
+};
+
+/// Differences `main_series`, the main word's counts over [a, b] with
+/// a = `first_slice`.
+MainWordDiffs DiffMainSeries(const std::vector<double>& main_series,
+                             size_t first_slice);
+
+/// RelatedWordWeight(main_series, candidate_series), bitwise, with the
+/// candidate given as its (slice, count) entries in ascending slice order;
+/// entries outside [a, b] are skipped by binary search. The candidate's
+/// difference at i is nonzero only at an entry or just after one, so only
+/// those terms of the Eq. 10 sums are visited. Every skipped product is an
+/// exact zero, and adding +0.0 or -0.0 to a sum that starts at +0.0 (and so
+/// is never -0.0) leaves its bits unchanged.
+double SparseRelatedWordWeight(
+    const MainWordDiffs& main,
+    std::span<const std::pair<uint32_t, uint32_t>> entries);
+
+}  // namespace internal
 
 }  // namespace newsdiff::event
 

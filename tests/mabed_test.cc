@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "common/bitwise.h"
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "core/collection.h"
+#include "core/pipeline.h"
+#include "core/preprocess.h"
+#include "datagen/world.h"
 
 namespace newsdiff::event {
 namespace {
@@ -156,6 +164,106 @@ TEST(MabedTest, StatsPopulated) {
   EXPECT_GE(mabed.stats().detect_seconds, 0.0);
 }
 
+// Everything a detection returns, doubles at %.17g: per event the main
+// term, support, interval and magnitude, then each related term with its
+// weight.
+std::string EventsDigest(const std::vector<Event>& events) {
+  std::string out;
+  char buf[160];
+  for (const Event& ev : events) {
+    std::snprintf(buf, sizeof(buf), "%u %s %zu [%zu,%zu] [%lld,%lld] %.17g:",
+                  ev.main_term, ev.main_word.c_str(), ev.support,
+                  ev.start_slice, ev.end_slice,
+                  static_cast<long long>(ev.start_time),
+                  static_cast<long long>(ev.end_time), ev.magnitude);
+    out += buf;
+    for (size_t i = 0; i < ev.related_terms.size(); ++i) {
+      std::snprintf(buf, sizeof(buf), " %u %s %.17g", ev.related_terms[i],
+                    ev.related_words[i].c_str(), ev.related_weights[i]);
+      out += buf;
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+struct DetectionCrcs {
+  uint32_t news;
+  uint32_t twitter;
+};
+
+// Both of the pipeline's detections at its default options: news events on
+// NewsED, Twitter events on TwitterED.
+DetectionCrcs CrcsOf(const std::vector<core::NewsRecord>& news,
+                     const std::vector<core::TweetRecord>& tweets) {
+  const core::PipelineOptions defaults;
+  auto news_events = Mabed(defaults.news_mabed).Detect(core::BuildNewsED(news));
+  auto twitter_events =
+      Mabed(defaults.twitter_mabed).Detect(core::BuildTwitterED(tweets));
+  EXPECT_TRUE(news_events.ok() && twitter_events.ok());
+  if (!news_events.ok() || !twitter_events.ok()) return {};
+  EXPECT_FALSE(news_events->empty());
+  EXPECT_FALSE(twitter_events->empty());
+  return {Crc32(EventsDigest(*news_events)),
+          Crc32(EventsDigest(*twitter_events))};
+}
+
+// A seeded datagen world read back through the store, as the pipeline reads
+// it. Its records arrive in time order unless `shuffle_seed` is nonzero;
+// then both record lists are shuffled, so each term's slice entries arrive
+// out of order and Detect's sort-and-merge fixup runs.
+DetectionCrcs WorldCrcs(uint64_t seed, size_t articles, size_t tweets,
+                        uint64_t shuffle_seed = 0) {
+  datagen::WorldOptions opts;
+  opts.seed = seed;
+  opts.num_users = 80;
+  opts.num_articles = articles;
+  opts.num_tweets = tweets;
+  store::Database db;
+  datagen::GenerateWorld(opts).LoadInto(db);
+  StatusOr<std::vector<core::NewsRecord>> news = core::LoadNews(db);
+  StatusOr<std::vector<core::TweetRecord>> loaded = core::LoadTweets(db);
+  EXPECT_TRUE(news.ok() && loaded.ok());
+  if (!news.ok() || !loaded.ok()) return {};
+  if (shuffle_seed != 0) {
+    Rng rng(shuffle_seed);
+    auto shuffle = [&rng](auto& records) {
+      for (size_t i = records.size(); i > 1; --i) {
+        std::swap(records[i - 1], records[rng.NextBelow(i)]);
+      }
+    };
+    shuffle(*news);
+    shuffle(*loaded);
+  }
+  return CrcsOf(*news, *loaded);
+}
+
+// The exactness gate of event detection: the events, to the last bit of
+// every magnitude and weight, that the dense per-probe expansion (a
+// binary search per interval document, a hash map of co-occurrences and
+// RelatedWordWeight on dense slice series) returned. The CRCs were
+// computed with that code.
+TEST(MabedTest, EventsAreBitwiseStable) {
+  struct Case {
+    const char* name;
+    DetectionCrcs got;
+    DetectionCrcs want;
+  };
+  const Case cases[] = {
+      {"world seed 7", WorldCrcs(7, 400, 1200), {0xca8c59e3, 0x1a690564}},
+      {"world seed 11", WorldCrcs(11, 400, 1200), {0x490a4e07, 0xc06e9e05}},
+      {"world seed 2021", WorldCrcs(2021, 400, 1200),
+       {0x965699b7, 0xa3f1d913}},
+      {"shuffled world seed 11", WorldCrcs(11, 400, 1200, /*shuffle_seed=*/5),
+       {0x71b8dcde, 0xb5059e20}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(Crc32Hex(c.got.news), Crc32Hex(c.want.news));
+    EXPECT_EQ(Crc32Hex(c.got.twitter), Crc32Hex(c.want.twitter));
+  }
+}
+
 TEST(RelatedWordWeightTest, PerfectCorrelationIsOne) {
   std::vector<double> main = {1, 3, 2, 5, 4, 6};
   EXPECT_NEAR(RelatedWordWeight(main, main), 1.0, 1e-12);
@@ -198,6 +306,85 @@ TEST(RelatedWordWeightTest, WeightInUnitInterval) {
     double w = RelatedWordWeight(a, b);
     EXPECT_GE(w, 0.0);
     EXPECT_LE(w, 1.0);
+  }
+}
+
+using SliceEntries = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// The sparse weight of a term with `entries` against `main_series` over
+// [a, a + n - 1] has the bits of the dense reference on the series those
+// entries give.
+void ExpectSparseEqualsDense(const std::vector<double>& main_series, size_t a,
+                             const SliceEntries& entries) {
+  std::vector<double> candidate(main_series.size(), 0.0);
+  for (const auto& [slice, count] : entries) {
+    if (slice >= a && slice - a < main_series.size()) {
+      candidate[slice - a] = count;
+    }
+  }
+  const double dense = RelatedWordWeight(main_series, candidate);
+  const double sparse = internal::SparseRelatedWordWeight(
+      internal::DiffMainSeries(main_series, a), entries);
+  EXPECT_TRUE(SameBits(sparse, dense)) << "sparse " << sparse << " dense "
+                                       << dense;
+}
+
+TEST(RelatedWordWeightTest, SparseSumsAreBitwiseEqualToDense) {
+  // Main word over [a, b] = [5, 16].
+  const std::vector<double> main = {0, 3, 3, 1, 0, 0, 4, 7, 2, 2, 0, 1};
+  const size_t a = 5;
+  // Runs of zeros between isolated entries.
+  ExpectSparseEqualsDense(main, a, {{6, 2}, {10, 1}, {13, 4}});
+  // Equal consecutive counts, where the main word falls: the product is
+  // -0.0 in the dense sum.
+  ExpectSparseEqualsDense(main, a, {{7, 3}, {8, 3}, {9, 3}, {14, 2}, {15, 2}});
+  // Entries at a and at b, and one slice outside each, which must not count.
+  ExpectSparseEqualsDense(main, a, {{5, 2}, {9, 1}, {16, 4}});
+  ExpectSparseEqualsDense(main, a, {{4, 6}, {5, 2}, {9, 1}, {16, 4}, {17, 5}});
+  ExpectSparseEqualsDense(main, a, {{0, 1}, {4, 6}, {17, 5}, {30, 2}});
+  ExpectSparseEqualsDense(main, a, {});
+  // Every slice of [a, b] an entry.
+  SliceEntries full;
+  for (uint32_t slice = 3; slice <= 18; ++slice) {
+    full.emplace_back(slice, 1 + slice % 4);
+  }
+  ExpectSparseEqualsDense(main, a, full);
+  // The candidate is the main word itself.
+  SliceEntries same;
+  for (size_t i = 0; i < main.size(); ++i) {
+    if (main[i] != 0) {
+      same.emplace_back(static_cast<uint32_t>(a + i),
+                        static_cast<uint32_t>(main[i]));
+    }
+  }
+  ExpectSparseEqualsDense(main, a, same);
+  // A constant main word has no variance: both give 0.
+  ExpectSparseEqualsDense({2, 2, 2, 2, 2}, 0, {{1, 3}, {2, 1}});
+  ExpectSparseEqualsDense({0, 0, 0}, 3, {{3, 1}});
+  // Intervals under 3 slices give 0.
+  ExpectSparseEqualsDense({1, 4}, 0, {{0, 2}, {1, 1}});
+  ExpectSparseEqualsDense({5}, 2, {{2, 5}});
+  ExpectSparseEqualsDense({}, 0, {{0, 1}});
+
+  // Random sparse series: lengths 1-40, densities from near-empty to full,
+  // entries on both sides of the interval.
+  Rng rng(29);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t n = 1 + rng.NextBelow(40);
+    const size_t first = rng.NextBelow(6);
+    const double density = rng.NextDouble();
+    std::vector<double> series(n, 0.0);
+    for (double& v : series) {
+      if (rng.Bernoulli(density)) v = static_cast<double>(1 + rng.NextBelow(5));
+    }
+    SliceEntries entries;
+    for (uint32_t slice = 0; slice < first + n + 3; ++slice) {
+      if (rng.Bernoulli(density)) {
+        entries.emplace_back(slice,
+                             static_cast<uint32_t>(1 + rng.NextBelow(5)));
+      }
+    }
+    ExpectSparseEqualsDense(series, first, entries);
   }
 }
 

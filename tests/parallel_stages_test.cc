@@ -174,9 +174,11 @@ TEST(ParallelStagesMabed, EventsBitwiseEqualToSerial) {
     EXPECT_EQ(s.main_word, p.main_word);
     EXPECT_EQ(s.start_slice, p.start_slice);
     EXPECT_EQ(s.end_slice, p.end_slice);
-    EXPECT_EQ(s.magnitude, p.magnitude);  // bitwise
+    EXPECT_EQ(s.support, p.support);
+    EXPECT_TRUE(SameBits(s.magnitude, p.magnitude));
     EXPECT_EQ(s.related_words, p.related_words);
-    EXPECT_EQ(s.related_weights, p.related_weights);  // bitwise
+    EXPECT_EQ(s.related_terms, p.related_terms);
+    EXPECT_TRUE(BitwiseEqual(s.related_weights, p.related_weights));
   }
 }
 
