@@ -18,7 +18,6 @@
 #include "nn/optimizer.h"
 #include "store/database.h"
 #include "store/json.h"
-#include "text/phrases.h"
 #include "text/pipeline.h"
 #include "topic/lda.h"
 #include "topic/nmf.h"
@@ -322,22 +321,6 @@ void BM_HungarianAssignment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HungarianAssignment)->Arg(16)->Arg(64);
-
-void BM_PhraseApply(benchmark::State& state) {
-  static const text::PhraseModel* kModel = [] {
-    auto* model = new text::PhraseModel();
-    model->Train(datagen::BackgroundSentences(2000, 10));
-    return model;
-  }();
-  auto sentences = datagen::BackgroundSentences(50, 11);
-  size_t i = 0;
-  for (auto _ : state) {
-    auto out = kModel->Apply(sentences[i % sentences.size()]);
-    benchmark::DoNotOptimize(out);
-    ++i;
-  }
-}
-BENCHMARK(BM_PhraseApply);
 
 void BM_CosineSimilarity300(benchmark::State& state) {
   Rng rng(5);

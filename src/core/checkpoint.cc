@@ -358,36 +358,4 @@ Status LoadStageOutput(const std::string& stage, const store::Database& db,
   return Status::InvalidArgument("unknown pipeline stage: " + stage);
 }
 
-Status SaveCheckpoint(const PipelineResult& result, store::Database& db) {
-  for (const char* stage : kStageNames) {
-    NEWSDIFF_RETURN_IF_ERROR(SaveStageOutput(stage, result, db));
-  }
-  return Status::OK();
-}
-
-StatusOr<CheckpointData> LoadCheckpoint(const store::Database& db) {
-  if (db.Get(kTopicsCollection) == nullptr) {
-    return Status::NotFound("no checkpoint in store");
-  }
-  if (db.Get(kNewsEventsCollection) == nullptr ||
-      db.Get(kTwitterEventsCollection) == nullptr) {
-    return Status::ParseError("checkpoint is missing event collections");
-  }
-  PipelineResult scratch;
-  for (const char* stage : kStageNames) {
-    Status status = LoadStageOutput(stage, db, &scratch);
-    // Trending/correlation/assignment collections may be absent in old
-    // checkpoints; treat that as empty rather than failing the load.
-    if (!status.ok() && status.code() != StatusCode::kNotFound) return status;
-  }
-  CheckpointData data;
-  data.topics = std::move(scratch.topics);
-  data.news_events = std::move(scratch.news_events);
-  data.twitter_events = std::move(scratch.twitter_events);
-  data.trending = std::move(scratch.trending);
-  data.correlations = std::move(scratch.correlations);
-  data.assignments = std::move(scratch.assignments);
-  return data;
-}
-
 }  // namespace newsdiff::core

@@ -10,14 +10,13 @@ namespace newsdiff::core {
 /// Stage-output checkpointing (§4.9): the deployed system refreshes its
 /// datasets every two hours and resumes "from checkpoints or from scratch"
 /// after each update. These helpers persist the analysis outputs (topics,
-/// events, trending topics, correlations) into the same document store the
-/// raw data lives in, so a restarted process — or a dashboard — can read
-/// the previous results without recomputation.
+/// events, trending topics, correlations, assignments) one stage at a time
+/// into the same document store the raw data lives in, so a restarted
+/// process can read the previous results without recomputation.
 ///
 /// Corpora and tweet/news records are NOT checkpointed (they are already in
 /// the store as raw collections); a loaded checkpoint therefore restores the
-/// analysis outputs only, which is exactly what the correlation/report
-/// consumers need.
+/// analysis outputs only.
 
 /// Collection names used by the checkpoint.
 inline constexpr char kTopicsCollection[] = "ckpt_topics";
@@ -36,23 +35,6 @@ inline constexpr const char* kStageNames[] = {
     "topics",      "news_events",  "twitter_events",
     "trending",    "correlations", "assignments",
 };
-
-/// Writes the analysis outputs of `result` into `db`, replacing any
-/// previous checkpoint.
-Status SaveCheckpoint(const PipelineResult& result, store::Database& db);
-
-/// Analysis outputs restored from a checkpoint.
-struct CheckpointData {
-  std::vector<topic::Topic> topics;
-  std::vector<event::Event> news_events;
-  std::vector<event::Event> twitter_events;
-  std::vector<TrendingNewsTopic> trending;
-  std::vector<EventCorrelation> correlations;
-  std::vector<EventTweetAssignment> assignments;
-};
-
-/// Reads a checkpoint previously written by SaveCheckpoint.
-StatusOr<CheckpointData> LoadCheckpoint(const store::Database& db);
 
 /// Stage-granular checkpoint IO for the supervisor: persists / restores the
 /// outputs of a single named stage (one of kStageNames). Saving replaces

@@ -28,18 +28,28 @@ StatusOr<std::vector<NewsRecord>> LoadNews(const store::Database& db) {
   return out;
 }
 
-StatusOr<std::vector<TweetRecord>> LoadTweets(store::Database& db) {
-  store::Collection* tweets = db.Get("tweets");
+StatusOr<std::vector<TweetRecord>> LoadTweets(const store::Database& db) {
+  const store::Collection* tweets = db.Get("tweets");
   if (tweets == nullptr) return Status::NotFound("no 'tweets' collection");
-  store::Collection* users = db.Get("users");
+  const store::Collection* users = db.Get("users");
   if (users == nullptr) return Status::NotFound("no 'users' collection");
-  users->CreateIndex("user_id");
 
-  // Resolve follower counts once per user.
+  // One scan of the users resolves every follower count. Ids are matched
+  // as the crawler writes them: as integers.
   std::unordered_map<int64_t, int64_t> followers_by_user;
+  followers_by_user.reserve(users->size());
+  users->ForEach(store::Filter(), [&](store::DocId, const store::Value& doc) {
+    const store::Value* id = doc.Find("user_id");
+    if (id != nullptr && id->is_int()) {
+      const store::Value* followers = doc.Find("followers");
+      followers_by_user.emplace(id->int_value(),
+                                followers != nullptr ? followers->AsInt() : 0);
+    }
+    return true;
+  });
+
   std::vector<TweetRecord> out;
   out.reserve(tweets->size());
-  Status error = Status::OK();
   tweets->ForEach(store::Filter(), [&](store::DocId, const store::Value& doc) {
     TweetRecord rec;
     if (const store::Value* v = doc.Find("tweet_id")) rec.id = v->AsInt();
@@ -51,24 +61,12 @@ StatusOr<std::vector<TweetRecord>> LoadTweets(store::Database& db) {
       rec.retweets = v->AsInt();
     }
     auto it = followers_by_user.find(rec.user_id);
-    if (it == followers_by_user.end()) {
-      StatusOr<store::Value> user = users->FindOne(
-          store::Filter().Eq("user_id", store::Value(rec.user_id)));
-      int64_t followers = 0;
-      if (user.ok()) {
-        if (const store::Value* v = user->Find("followers")) {
-          followers = v->AsInt();
-        }
-      }
-      it = followers_by_user.emplace(rec.user_id, followers).first;
-    }
-    rec.followers = it->second;
+    rec.followers = it != followers_by_user.end() ? it->second : 0;
     rec.follower_class = datagen::EncodeCountClass(rec.followers);
     rec.follower_bucket = datagen::FollowerBucket7(rec.followers);
     out.push_back(std::move(rec));
     return true;
   });
-  if (!error.ok()) return error;
   return out;
 }
 

@@ -17,9 +17,9 @@ namespace newsdiff::core {
 StatusOr<std::vector<NewsRecord>> LoadNews(const store::Database& db);
 
 /// Reads the "tweets" collection, joining each tweet's author against the
-/// "users" collection to fill follower metadata (an indexed equality
-/// lookup; the index is created on demand).
-StatusOr<std::vector<TweetRecord>> LoadTweets(store::Database& db);
+/// "users" collection to fill follower metadata. The first user document
+/// per id wins; an unknown author has zero followers. Writes nothing.
+StatusOr<std::vector<TweetRecord>> LoadTweets(const store::Database& db);
 
 }  // namespace newsdiff::core
 

@@ -227,11 +227,9 @@ StatusOr<PipelineResult> PipelineSupervisor::Run(
   // never resumed — its checkpointed outputs were derived from upstream
   // outputs that are about to be replaced.
   size_t done_prefix = 0;
-  if (options_.resume) {
-    while (done_prefix < kNumStages &&
-           LedgerDone(db, kStageNames[done_prefix], sig)) {
-      ++done_prefix;
-    }
+  while (done_prefix < kNumStages &&
+         LedgerDone(db, kStageNames[done_prefix], sig)) {
+    ++done_prefix;
   }
 
   // The ledger is rewritten from scratch so stale entries (older inputs,
@@ -250,10 +248,7 @@ StatusOr<PipelineResult> PipelineSupervisor::Run(
       break;
     }
     NEWSDIFF_RETURN_IF_ERROR(AppendLedger(db, stage, sig, resumed));
-    StageRun run;
-    run.name = stage;
-    run.resumed = true;
-    report_.stages.push_back(std::move(run));
+    report_.stages.push_back(StageRun{stage});
     ++report_.stages_resumed;
   }
 
@@ -265,12 +260,7 @@ StatusOr<PipelineResult> PipelineSupervisor::Run(
     Status status = Status::OK();
     for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
       run.attempts = attempt;
-      if (attempt > 1) {
-        ++report_.retries;
-        if (options_.retry_backoff_ms > 0) {
-          clock->SleepMillis(options_.retry_backoff_ms);
-        }
-      }
+      if (attempt > 1) ++report_.retries;
       if (options_.stage_fault_hook) {
         status = options_.stage_fault_hook(stage, attempt);
         if (!status.ok()) {

@@ -42,14 +42,9 @@ struct SupervisorOptions {
   /// so an attempt that measures longer than this counts as a failed
   /// attempt (kDeadlineExceeded) and is retried. 0 disables.
   int64_t stage_deadline_ms = 0;
-  /// Pause between attempts of a failing stage.
-  int64_t retry_backoff_ms = 0;
-  /// Clock used for deadlines and backoff (nullptr = wall clock). Tests
-  /// pass a ManualClock.
+  /// Clock used for deadlines (nullptr = wall clock). Tests pass a
+  /// ManualClock.
   Clock* clock = nullptr;
-  /// Consult the stage ledger and skip stages it records as complete for
-  /// the current inputs. Off forces full recomputation.
-  bool resume = true;
   /// Fault seam for tests/benches: invoked before each stage attempt; a
   /// non-OK return is treated as that attempt failing.
   std::function<Status(const std::string& stage, size_t attempt)>
@@ -79,9 +74,8 @@ struct SupervisorOptions {
 /// What happened to one stage during a supervised run.
 struct StageRun {
   std::string name;
-  size_t attempts = 0;   // 0 = restored from the ledger, never executed
-  bool resumed = false;  // outputs loaded from checkpoint collections
-  double seconds = 0.0;  // of the successful attempt (0 when resumed)
+  size_t attempts = 0;   // 0 = outputs restored from the checkpoint
+  double seconds = 0.0;  // of the successful attempt (0 when restored)
 };
 
 /// Bookkeeping for one Run() (and the Recover() preceding it).

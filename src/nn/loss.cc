@@ -48,19 +48,4 @@ LossResult BinaryCrossEntropy(const la::Matrix& probs,
   return result;
 }
 
-LossResult MeanSquaredError(const la::Matrix& outputs,
-                            const la::Matrix& targets) {
-  assert(outputs.rows() == targets.rows() &&
-         outputs.cols() == targets.cols());
-  LossResult result;
-  result.grad = outputs;
-  result.grad.Sub(targets);
-  double total = 0.0;
-  for (double v : result.grad.data()) total += v * v;
-  const double n = static_cast<double>(outputs.size());
-  result.loss = total / n;
-  result.grad.Scale(2.0 / n);
-  return result;
-}
-
 }  // namespace newsdiff::nn

@@ -26,10 +26,6 @@ LossResult SoftmaxCrossEntropy(const la::Matrix& logits,
 LossResult BinaryCrossEntropy(const la::Matrix& probs,
                               const std::vector<int>& labels);
 
-/// Mean squared error; `targets` has the same shape as `outputs`.
-LossResult MeanSquaredError(const la::Matrix& outputs,
-                            const la::Matrix& targets);
-
 }  // namespace newsdiff::nn
 
 #endif  // NEWSDIFF_NN_LOSS_H_

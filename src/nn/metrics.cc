@@ -60,32 +60,6 @@ double ConfusionMatrix::AverageAccuracy() const {
   return sum / static_cast<double>(k_);
 }
 
-double ConfusionMatrix::MacroPrecision() const {
-  double sum = 0.0;
-  for (size_t c = 0; c < k_; ++c) {
-    double tp = static_cast<double>(TruePositives(c));
-    double fp = static_cast<double>(FalsePositives(c));
-    sum += (tp + fp) > 0.0 ? tp / (tp + fp) : 0.0;
-  }
-  return k_ > 0 ? sum / static_cast<double>(k_) : 0.0;
-}
-
-double ConfusionMatrix::MacroRecall() const {
-  double sum = 0.0;
-  for (size_t c = 0; c < k_; ++c) {
-    double tp = static_cast<double>(TruePositives(c));
-    double fn = static_cast<double>(FalseNegatives(c));
-    sum += (tp + fn) > 0.0 ? tp / (tp + fn) : 0.0;
-  }
-  return k_ > 0 ? sum / static_cast<double>(k_) : 0.0;
-}
-
-double ConfusionMatrix::MacroF1() const {
-  double p = MacroPrecision();
-  double r = MacroRecall();
-  return (p + r) > 0.0 ? 2.0 * p * r / (p + r) : 0.0;
-}
-
 std::vector<int> ArgmaxRows(const la::Matrix& m) {
   std::vector<int> out(m.rows(), 0);
   for (size_t r = 0; r < m.rows(); ++r) {

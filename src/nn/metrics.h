@@ -32,11 +32,6 @@ class ConfusionMatrix {
   ///   A = (1/k) * sum_i (TP_i + TN_i) / (TP_i + FN_i + FP_i + TN_i)
   double AverageAccuracy() const;
 
-  /// Macro-averaged precision, recall, F1.
-  double MacroPrecision() const;
-  double MacroRecall() const;
-  double MacroF1() const;
-
  private:
   size_t k_;
   size_t total_;

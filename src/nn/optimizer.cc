@@ -99,29 +99,4 @@ void Adadelta::UpdateOne(la::Matrix& value, const la::Matrix& grad,
   }
 }
 
-void Adam::UpdateOne(la::Matrix& value, const la::Matrix& grad,
-                     std::vector<la::Matrix>& state) {
-  la::Matrix& m = state[0];  // first moment
-  la::Matrix& v = state[1];  // second moment
-  la::Matrix& t = state[2];  // step counter in (0,0)
-  t(0, 0) += 1.0;
-  const double step = t(0, 0);
-  const double b1 = options_.beta1;
-  const double b2 = options_.beta2;
-  const double bias1 = 1.0 - std::pow(b1, step);
-  const double bias2 = 1.0 - std::pow(b2, step);
-  auto& mv = m.data();
-  auto& vv = v.data();
-  auto& w = value.data();
-  const auto& g = grad.data();
-  for (size_t i = 0; i < w.size(); ++i) {
-    mv[i] = b1 * mv[i] + (1.0 - b1) * g[i];
-    vv[i] = b2 * vv[i] + (1.0 - b2) * g[i] * g[i];
-    double mhat = mv[i] / bias1;
-    double vhat = vv[i] / bias2;
-    w[i] -= options_.learning_rate * mhat /
-            (std::sqrt(vhat) + options_.epsilon);
-  }
-}
-
 }  // namespace newsdiff::nn

@@ -120,33 +120,6 @@ class Adadelta : public Optimizer {
   AdadeltaOptions options_;
 };
 
-/// Adam (Kingma & Ba 2015): bias-corrected first/second moment estimates.
-/// Not used by the paper's configurations, but the de-facto modern default;
-/// included so downstream users of the library are not locked into the
-/// paper's optimizer menu.
-struct AdamOptions {
-  double learning_rate = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double epsilon = 1e-8;
-};
-class Adam : public Optimizer {
- public:
-  explicit Adam(AdamOptions options) : options_(options) {}
-  std::string Name() const override { return "Adam"; }
-  void ScaleLearningRate(double factor) override {
-    options_.learning_rate *= factor;
-  }
-
- protected:
-  void UpdateOne(la::Matrix& value, const la::Matrix& grad,
-                 std::vector<la::Matrix>& state) override;
-  size_t StateSlots() const override { return 3; }
-
- private:
-  AdamOptions options_;
-};
-
 }  // namespace newsdiff::nn
 
 #endif  // NEWSDIFF_NN_OPTIMIZER_H_

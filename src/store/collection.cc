@@ -7,75 +7,14 @@
 namespace newsdiff::store {
 
 Filter& Filter::Eq(std::string field, Value v) {
-  conditions_.push_back({std::move(field), FilterOp::kEq, std::move(v)});
-  return *this;
-}
-Filter& Filter::Ne(std::string field, Value v) {
-  conditions_.push_back({std::move(field), FilterOp::kNe, std::move(v)});
-  return *this;
-}
-Filter& Filter::Lt(std::string field, Value v) {
-  conditions_.push_back({std::move(field), FilterOp::kLt, std::move(v)});
-  return *this;
-}
-Filter& Filter::Lte(std::string field, Value v) {
-  conditions_.push_back({std::move(field), FilterOp::kLte, std::move(v)});
-  return *this;
-}
-Filter& Filter::Gt(std::string field, Value v) {
-  conditions_.push_back({std::move(field), FilterOp::kGt, std::move(v)});
-  return *this;
-}
-Filter& Filter::Gte(std::string field, Value v) {
-  conditions_.push_back({std::move(field), FilterOp::kGte, std::move(v)});
-  return *this;
-}
-Filter& Filter::Exists(std::string field) {
-  conditions_.push_back({std::move(field), FilterOp::kExists, Value()});
-  return *this;
-}
-Filter& Filter::Contains(std::string field, std::string substring) {
-  conditions_.push_back(
-      {std::move(field), FilterOp::kContains, Value(std::move(substring))});
+  conditions_.push_back({std::move(field), std::move(v)});
   return *this;
 }
 
 bool Filter::Matches(const Value& doc) const {
   for (const Condition& c : conditions_) {
     const Value* f = doc.Find(c.field);
-    if (f == nullptr) {
-      if (c.op == FilterOp::kNe) continue;  // absent != anything
-      return false;
-    }
-    switch (c.op) {
-      case FilterOp::kEq:
-        if (!f->Equals(c.value)) return false;
-        break;
-      case FilterOp::kNe:
-        if (f->Equals(c.value)) return false;
-        break;
-      case FilterOp::kLt:
-        if (f->Compare(c.value) >= 0) return false;
-        break;
-      case FilterOp::kLte:
-        if (f->Compare(c.value) > 0) return false;
-        break;
-      case FilterOp::kGt:
-        if (f->Compare(c.value) <= 0) return false;
-        break;
-      case FilterOp::kGte:
-        if (f->Compare(c.value) < 0) return false;
-        break;
-      case FilterOp::kExists:
-        break;  // presence already checked
-      case FilterOp::kContains:
-        if (!f->is_string() || !c.value.is_string()) return false;
-        if (f->string_value().find(c.value.string_value()) ==
-            std::string::npos) {
-          return false;
-        }
-        break;
-    }
+    if (f == nullptr || !f->Equals(c.value)) return false;
   }
   return true;
 }
@@ -105,14 +44,10 @@ StatusOr<Value> Collection::Get(DocId id) const {
   return slots_[static_cast<size_t>(id)].doc;
 }
 
-std::vector<DocId> Collection::Candidates(const Filter& filter,
-                                          bool& used_index) const {
-  used_index = false;
+std::vector<DocId> Collection::Candidates(const Filter& filter) const {
   for (const Condition& c : filter.conditions()) {
-    if (c.op != FilterOp::kEq) continue;
     auto idx_it = indexes_.find(c.field);
     if (idx_it == indexes_.end()) continue;
-    used_index = true;
     auto bucket = idx_it->second.find(IndexKey(c.value));
     if (bucket == idx_it->second.end()) return {};
     return bucket->second;
@@ -134,59 +69,6 @@ std::vector<Value> Collection::Find(const Filter& filter) const {
   return out;
 }
 
-std::vector<Value> Collection::Find(const Filter& filter,
-                                    const FindOptions& options) const {
-  std::vector<Value> matches = Find(filter);
-  if (!options.sort_field.empty()) {
-    static const Value kNull;
-    std::stable_sort(matches.begin(), matches.end(),
-                     [&](const Value& a, const Value& b) {
-                       const Value* va = a.Find(options.sort_field);
-                       const Value* vb = b.Find(options.sort_field);
-                       int cmp = (va != nullptr ? *va : kNull)
-                                     .Compare(vb != nullptr ? *vb : kNull);
-                       return options.descending ? cmp > 0 : cmp < 0;
-                     });
-  }
-  if (options.skip > 0) {
-    if (options.skip >= matches.size()) {
-      matches.clear();
-    } else {
-      matches.erase(matches.begin(),
-                    matches.begin() + static_cast<ptrdiff_t>(options.skip));
-    }
-  }
-  if (matches.size() > options.limit) matches.resize(options.limit);
-  if (!options.projection.empty()) {
-    for (Value& doc : matches) {
-      Object projected;
-      for (const auto& [key, value] : doc.object()) {
-        bool keep = key == "_id";
-        for (const std::string& field : options.projection) {
-          if (key == field) {
-            keep = true;
-            break;
-          }
-        }
-        if (keep) projected.emplace_back(key, value);
-      }
-      doc = Value(std::move(projected));
-    }
-  }
-  return matches;
-}
-
-std::map<std::string, size_t> Collection::CountBy(
-    const Filter& filter, const std::string& field) const {
-  std::map<std::string, size_t> groups;
-  ForEach(filter, [&](DocId, const Value& doc) {
-    const Value* v = doc.Find(field);
-    ++groups[v != nullptr ? IndexKey(*v) : "null"];
-    return true;
-  });
-  return groups;
-}
-
 StatusOr<Value> Collection::FindOne(const Filter& filter) const {
   StatusOr<Value> result = Status::NotFound("no matching document");
   ForEach(filter, [&](DocId, const Value& doc) {
@@ -199,8 +81,7 @@ StatusOr<Value> Collection::FindOne(const Filter& filter) const {
 void Collection::ForEach(
     const Filter& filter,
     const std::function<bool(DocId, const Value&)>& fn) const {
-  bool used_index = false;
-  std::vector<DocId> cands = Candidates(filter, used_index);
+  std::vector<DocId> cands = Candidates(filter);
   for (DocId id : cands) {
     const Slot& slot = slots_[static_cast<size_t>(id)];
     if (!slot.live) continue;
@@ -220,8 +101,7 @@ size_t Collection::Count(const Filter& filter) const {
 
 size_t Collection::UpdateSet(const Filter& filter, const std::string& field,
                              Value v) {
-  bool used_index = false;
-  std::vector<DocId> cands = Candidates(filter, used_index);
+  std::vector<DocId> cands = Candidates(filter);
   size_t n = 0;
   for (DocId id : cands) {
     Slot& slot = slots_[static_cast<size_t>(id)];
@@ -261,8 +141,7 @@ StatusOr<DocId> Collection::Upsert(const Filter& filter, Value doc) {
 }
 
 size_t Collection::Remove(const Filter& filter) {
-  bool used_index = false;
-  std::vector<DocId> cands = Candidates(filter, used_index);
+  std::vector<DocId> cands = Candidates(filter);
   size_t n = 0;
   for (DocId id : cands) {
     Slot& slot = slots_[static_cast<size_t>(id)];

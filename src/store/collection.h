@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,44 +12,23 @@
 
 namespace newsdiff::store {
 
-/// Comparison / predicate operators supported by filters.
-enum class FilterOp {
-  kEq,        // field == value
-  kNe,        // field != value
-  kLt,        // field < value
-  kLte,       // field <= value
-  kGt,        // field > value
-  kGte,       // field >= value
-  kExists,    // field present (value ignored)
-  kContains,  // string field contains value (substring)
-};
-
-/// One condition on a top-level field.
+/// One equality condition on a top-level field.
 struct Condition {
   std::string field;
-  FilterOp op;
   Value value;
 };
 
-/// A conjunction of conditions (MongoDB's implicit AND semantics).
+/// A conjunction of equality conditions (MongoDB's implicit AND semantics).
 class Filter {
  public:
   Filter() = default;
 
-  /// Fluent builders; each returns *this for chaining.
+  /// Adds `field == v`; returns *this for chaining.
   Filter& Eq(std::string field, Value v);
-  Filter& Ne(std::string field, Value v);
-  Filter& Lt(std::string field, Value v);
-  Filter& Lte(std::string field, Value v);
-  Filter& Gt(std::string field, Value v);
-  Filter& Gte(std::string field, Value v);
-  Filter& Exists(std::string field);
-  Filter& Contains(std::string field, std::string substring);
 
   const std::vector<Condition>& conditions() const { return conditions_; }
 
-  /// True if `doc` satisfies every condition. Missing fields fail all
-  /// operators except kNe (which succeeds, as in MongoDB).
+  /// True if `doc` satisfies every condition. A missing field fails.
   bool Matches(const Value& doc) const;
 
  private:
@@ -80,24 +58,10 @@ class CollectionObserver {
   virtual void OnDelete(const Collection& collection, DocId id) = 0;
 };
 
-/// Query modifiers for Find: sorting, pagination, and projection
-/// (mirroring MongoDB's sort/skip/limit/projection options).
-struct FindOptions {
-  /// Field to order by; empty keeps insertion order. Documents missing the
-  /// field sort first (their value compares as null).
-  std::string sort_field;
-  bool descending = false;
-  /// Skip this many matches, then return at most `limit`.
-  size_t skip = 0;
-  size_t limit = SIZE_MAX;
-  /// Keep only these fields (plus "_id"); empty keeps every field.
-  std::vector<std::string> projection;
-};
-
 /// An in-memory collection of JSON documents with optional hash indexes on
 /// top-level fields. Insert assigns a monotonically increasing "_id".
-/// Equality conditions on indexed fields are served from the index; other
-/// queries scan. Not thread-safe (single-writer model, like the pipeline).
+/// A condition on an indexed field is served from the index; other queries
+/// scan. Not thread-safe (single-writer model, like the pipeline).
 class Collection {
  public:
   /// Creates an empty collection named `name`.
@@ -126,15 +90,6 @@ class Collection {
   /// Returns copies of all documents matching `filter`, in insertion order.
   std::vector<Value> Find(const Filter& filter) const;
 
-  /// Find with sort / pagination / projection modifiers.
-  std::vector<Value> Find(const Filter& filter,
-                          const FindOptions& options) const;
-
-  /// Groups matches by the value of `field` (serialised as compact JSON)
-  /// and counts each group. Documents missing the field group under "null".
-  std::map<std::string, size_t> CountBy(const Filter& filter,
-                                        const std::string& field) const;
-
   /// Returns the first match, or NotFound.
   StatusOr<Value> FindOne(const Filter& filter) const;
 
@@ -158,8 +113,8 @@ class Collection {
   /// Removes matching documents; returns the number removed.
   size_t Remove(const Filter& filter);
 
-  /// Builds a hash index on a top-level field. Subsequent equality
-  /// conditions on that field use the index. Indexing an already-indexed
+  /// Builds a hash index on a top-level field. Subsequent conditions on
+  /// that field use the index. Indexing an already-indexed
   /// field is a no-op.
   void CreateIndex(const std::string& field);
 
@@ -198,9 +153,9 @@ class Collection {
   void IndexInsert(DocId id, const Value& doc);
   void IndexRemove(DocId id, const Value& doc);
 
-  // Returns candidate slot ids for the filter: either an index bucket or
-  // all ids. `used_index` reports whether an index was applied.
-  std::vector<DocId> Candidates(const Filter& filter, bool& used_index) const;
+  // Returns candidate slot ids for the filter: the index bucket of its
+  // first indexed field, or all live ids.
+  std::vector<DocId> Candidates(const Filter& filter) const;
 
   std::string name_;
   std::vector<Slot> slots_;  // slot index == DocId

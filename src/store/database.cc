@@ -154,10 +154,11 @@ Status Database::SaveToDir(const std::string& dir,
   for (const auto& [name, coll] : collections_) {
     NEWSDIFF_RETURN_IF_ERROR(ValidateCollectionName(name));
     std::string contents;
-    for (const Value& doc : coll->All()) {
+    coll->ForEach(Filter(), [&](DocId, const Value& doc) {
       contents += ToJson(doc);
       contents += '\n';
-    }
+      return true;
+    });
     ManifestEntry entry;
     entry.collection = name;
     entry.file = SnapshotCollectionFileName(name, generation);

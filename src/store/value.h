@@ -81,8 +81,8 @@ class Value {
   /// Deep equality.
   bool Equals(const Value& other) const;
 
-  /// Total order over values: first by type index, then by value. Gives the
-  /// store a deterministic sort for range queries over mixed types.
+  /// Total order over values: first by type index, then by value (numbers
+  /// compare across int/double). Equals is built on it.
   int Compare(const Value& other) const;
 
  private:

@@ -38,12 +38,27 @@ PipelineResult MakeResult() {
   return r;
 }
 
+Status SaveAllStages(const PipelineResult& result, store::Database& db) {
+  for (const char* stage : kStageNames) {
+    NEWSDIFF_RETURN_IF_ERROR(SaveStageOutput(stage, result, db));
+  }
+  return Status::OK();
+}
+
+StatusOr<PipelineResult> LoadAllStages(const store::Database& db) {
+  PipelineResult result;
+  for (const char* stage : kStageNames) {
+    NEWSDIFF_RETURN_IF_ERROR(LoadStageOutput(stage, db, &result));
+  }
+  return result;
+}
+
 TEST(CheckpointTest, SaveLoadRoundTrip) {
   PipelineResult result = MakeResult();
   store::Database db;
-  ASSERT_TRUE(SaveCheckpoint(result, db).ok());
+  ASSERT_TRUE(SaveAllStages(result, db).ok());
 
-  auto loaded = LoadCheckpoint(db);
+  auto loaded = LoadAllStages(db);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->topics.size(), 1u);
   EXPECT_EQ(loaded->topics[0].id, 3u);
@@ -74,14 +89,14 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
 TEST(CheckpointTest, SaveReplacesPreviousCheckpoint) {
   PipelineResult first = MakeResult();
   store::Database db;
-  ASSERT_TRUE(SaveCheckpoint(first, db).ok());
+  ASSERT_TRUE(SaveAllStages(first, db).ok());
 
   PipelineResult second = MakeResult();
   second.topics[0].keywords = {"huawei"};
   second.news_events.push_back(second.news_events[0]);
-  ASSERT_TRUE(SaveCheckpoint(second, db).ok());
+  ASSERT_TRUE(SaveAllStages(second, db).ok());
 
-  auto loaded = LoadCheckpoint(db);
+  auto loaded = LoadAllStages(db);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->topics.size(), 1u);
   EXPECT_EQ(loaded->topics[0].keywords,
@@ -91,23 +106,24 @@ TEST(CheckpointTest, SaveReplacesPreviousCheckpoint) {
 
 TEST(CheckpointTest, LoadWithoutCheckpointFails) {
   store::Database db;
-  StatusOr<CheckpointData> loaded = LoadCheckpoint(db);
+  PipelineResult result;
+  Status loaded = LoadStageOutput("topics", db, &result);
   EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(loaded.code(), StatusCode::kNotFound);
 }
 
 TEST(CheckpointTest, SurvivesDiskRoundTrip) {
   namespace fs = std::filesystem;
   PipelineResult result = MakeResult();
   store::Database db;
-  ASSERT_TRUE(SaveCheckpoint(result, db).ok());
+  ASSERT_TRUE(SaveAllStages(result, db).ok());
   fs::path dir = fs::temp_directory_path() / "newsdiff_ckpt_test";
   fs::remove_all(dir);
   ASSERT_TRUE(db.SaveToDir(dir.string()).ok());
 
   store::Database restored;
   ASSERT_TRUE(restored.LoadFromDir(dir.string()).ok());
-  auto loaded = LoadCheckpoint(restored);
+  auto loaded = LoadAllStages(restored);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->news_events[0].main_word, "election");
   fs::remove_all(dir);

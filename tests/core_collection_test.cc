@@ -87,6 +87,17 @@ TEST(LoadTweetsTest, UnknownUserGetsZeroFollowers) {
   EXPECT_EQ((*tweets)[2].follower_class, 0);
 }
 
+TEST(LoadTweetsTest, ReadsWithoutWritingTheStore) {
+  store::Database db = MakeDb();
+  // A second document for user 1: the first one per id wins.
+  db.Get("users")->Insert(store::MakeObject(
+      {{"user_id", int64_t{1}}, {"followers", int64_t{7}}}));
+  auto tweets = LoadTweets(db);
+  ASSERT_TRUE(tweets.ok());
+  EXPECT_EQ((*tweets)[0].followers, 5000);
+  EXPECT_FALSE(db.Get("users")->HasIndex("user_id"));
+}
+
 TEST(LoadTweetsTest, MissingCollectionsFail) {
   store::Database db;
   EXPECT_FALSE(LoadTweets(db).ok());

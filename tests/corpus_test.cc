@@ -84,7 +84,9 @@ TEST(CorpusTest, AddDocumentBuildsCountsAndFrequencies) {
     EXPECT_LT(d0.counts[i - 1].term, d0.counts[i].term);
   }
   for (const TermCount& tc : d0.counts) {
-    if (tc.term == a) EXPECT_EQ(tc.count, 3u);
+    if (tc.term == a) {
+      EXPECT_EQ(tc.count, 3u);
+    }
   }
 }
 

@@ -164,7 +164,9 @@ TEST(IndexPostingsTest, CursorWalksMultipleBlocks) {
   size_t seen = 0;
   while (!cursor.exhausted()) {
     const uint32_t doc = cursor.doc();
-    if (prev != kInvalidDoc) EXPECT_GT(doc, prev);
+    if (prev != kInvalidDoc) {
+      EXPECT_GT(doc, prev);
+    }
     uint32_t want_tf = 0;
     for (const corpus::TermCount& tc : corpus.doc(doc).counts) {
       if (tc.term == term) want_tf = tc.count;

@@ -103,7 +103,9 @@ TEST(MabedTest, RelatedWeightsSortedAndBounded) {
     for (size_t i = 0; i < ev.related_weights.size(); ++i) {
       EXPECT_GE(ev.related_weights[i], opts.min_related_weight);
       EXPECT_LE(ev.related_weights[i], 1.0);
-      if (i > 0) EXPECT_LE(ev.related_weights[i], ev.related_weights[i - 1]);
+      if (i > 0) {
+        EXPECT_LE(ev.related_weights[i], ev.related_weights[i - 1]);
+      }
     }
     EXPECT_LE(ev.related_words.size(), opts.max_related_words);
   }

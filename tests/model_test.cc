@@ -8,7 +8,6 @@
 #include "nn/activations.h"
 #include "nn/architectures.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 
 namespace newsdiff::nn {
 namespace {
@@ -235,27 +234,6 @@ TEST(ModelTest, ClippingKeepsHugeLearningRateFinite) {
   for (double loss : history->train_loss) {
     EXPECT_TRUE(std::isfinite(loss));
   }
-}
-
-TEST(ModelTest, DropoutModelStillLearns) {
-  la::Matrix x;
-  std::vector<int> y;
-  MakeBlobs(40, 2, 6, 16, &x, &y);
-  Rng rng(21);
-  Model model(6);
-  model.Add(std::make_unique<Dense>(6, 16, rng));
-  model.Add(std::make_unique<Activation>(ActivationKind::kRelu));
-  model.Add(std::make_unique<Dropout>(0.3, 5));
-  model.Add(std::make_unique<Dense>(16, 2, rng));
-  Sgd sgd({0.2, 0.0});
-  FitOptions fit;
-  fit.epochs = 60;
-  fit.batch_size = 16;
-  fit.early_stopping.enabled = false;
-  auto history = model.Fit(x, y, sgd, fit);
-  ASSERT_TRUE(history.ok());
-  auto [loss, acc] = model.Evaluate(x, y);
-  EXPECT_GT(acc, 0.9);
 }
 
 /// Property sweep: the MLP learns blobs with every optimizer used in the

@@ -356,14 +356,5 @@ TEST(LossTest, BinaryCrossEntropyMatchesEquation12) {
   EXPECT_NEAR(lr.loss, expected, 1e-12);
 }
 
-TEST(LossTest, MeanSquaredError) {
-  la::Matrix out = la::Matrix::FromRows({{1.0, 2.0}});
-  la::Matrix target = la::Matrix::FromRows({{0.0, 4.0}});
-  LossResult lr = MeanSquaredError(out, target);
-  EXPECT_NEAR(lr.loss, (1.0 + 4.0) / 2.0, 1e-12);
-  EXPECT_NEAR(lr.grad(0, 0), 1.0, 1e-12);   // 2*(1-0)/2
-  EXPECT_NEAR(lr.grad(0, 1), -2.0, 1e-12);  // 2*(2-4)/2
-}
-
 }  // namespace
 }  // namespace newsdiff::nn

@@ -95,23 +95,6 @@ TEST(OptimizerTest, Names) {
   EXPECT_EQ(Sgd({}).Name(), "SGD");
   EXPECT_EQ(Adagrad({}).Name(), "ADAGRAD");
   EXPECT_EQ(Adadelta({}).Name(), "ADADELTA");
-  EXPECT_EQ(Adam({}).Name(), "Adam");
-}
-
-TEST(AdamTest, ConvergesOnQuadratic) {
-  Adam adam({0.05, 0.9, 0.999, 1e-8});
-  EXPECT_LT(MinimizeQuadratic(adam, 600), 1e-2);
-}
-
-TEST(AdamTest, BiasCorrectionGivesFullFirstStep) {
-  // With constant unit gradient, the very first Adam step equals lr.
-  Adam adam({0.1, 0.9, 0.999, 1e-12});
-  la::Matrix w(1, 1);
-  la::Matrix g(1, 1);
-  g(0, 0) = 1.0;
-  std::vector<Param> params = {{&w, &g, "w"}};
-  adam.Step(params);
-  EXPECT_NEAR(w(0, 0), -0.1, 1e-6);
 }
 
 /// Property sweep: every optimizer reduces the quadratic objective.

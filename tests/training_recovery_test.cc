@@ -154,9 +154,10 @@ TEST_F(TrainingRecoveryFixture, ResumeReproducesUninterruptedRunExactly) {
   FitOptions fit = BaseFit();
   fit.epochs = 8;
 
-  // Uninterrupted reference run.
+  // Uninterrupted reference run. ADADELTA keeps two state slots per
+  // parameter, so a resume that dropped the optimizer state would diverge.
   Model reference = MakeModel();
-  Adam ref_opt(AdamOptions{});
+  Adadelta ref_opt(AdadeltaOptions{});
   StatusOr<FitHistory> ref = reference.Fit(x_, y_, ref_opt, fit);
   ASSERT_TRUE(ref.ok());
 
@@ -164,7 +165,7 @@ TEST_F(TrainingRecoveryFixture, ResumeReproducesUninterruptedRunExactly) {
   // "dies" (the Model object is discarded).
   {
     Model first_half = MakeModel();
-    Adam opt(AdamOptions{});
+    Adadelta opt(AdadeltaOptions{});
     FitOptions half = fit;
     half.epochs = 4;
     half.recovery.checkpoint_path = ckpt();
@@ -176,7 +177,7 @@ TEST_F(TrainingRecoveryFixture, ResumeReproducesUninterruptedRunExactly) {
   // Restarted process: fresh model + fresh optimizer at the original
   // learning rate, resuming from the checkpoint.
   Model resumed = MakeModel();
-  Adam res_opt(AdamOptions{});
+  Adadelta res_opt(AdadeltaOptions{});
   FitOptions resume = fit;
   resume.recovery.checkpoint_path = ckpt();
   resume.recovery.resume = true;
