@@ -61,4 +61,32 @@ bool ParseCrc32Hex(std::string_view hex, uint32_t* out) {
   return true;
 }
 
+std::string WithTrailer(std::string payload) {
+  payload += "crc " + Crc32Hex(Crc32(payload)) + "\n";
+  return payload;
+}
+
+StatusOr<std::string> CheckTrailer(std::string_view contents,
+                                   std::string_view what) {
+  const size_t crc_pos = contents.rfind("crc ");
+  if (crc_pos == std::string_view::npos ||
+      (crc_pos != 0 && contents[crc_pos - 1] != '\n')) {
+    return Status::ParseError(std::string(what) + ": missing crc trailer");
+  }
+  std::string_view hex = contents.substr(crc_pos + 4);
+  while (!hex.empty() && (hex.back() == '\n' || hex.back() == '\r')) {
+    hex.remove_suffix(1);
+  }
+  uint32_t stated = 0;
+  if (!ParseCrc32Hex(hex, &stated)) {
+    return Status::ParseError(std::string(what) + ": malformed crc trailer");
+  }
+  const std::string_view payload = contents.substr(0, crc_pos);
+  if (Crc32(payload) != stated) {
+    return Status::ParseError(std::string(what) +
+                              ": checksum mismatch (torn write or bit rot)");
+  }
+  return std::string(payload);
+}
+
 }  // namespace newsdiff

@@ -5,6 +5,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/status.h"
+
 namespace newsdiff {
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial). Used by the snapshot engine
@@ -19,6 +21,20 @@ std::string Crc32Hex(uint32_t crc);
 
 /// Parses an 8-hex-digit CRC; returns false on malformed input.
 bool ParseCrc32Hex(std::string_view hex, uint32_t* out);
+
+/// The text files the store and the model trainer persist (snapshot
+/// manifest, lease record, lease high-water mark, model weights, training
+/// checkpoints) end in one trailer line, "crc <8-hex>\n", the CRC-32 of
+/// every byte before it. WithTrailer appends that line to `payload`, which
+/// must be empty or end in '\n'.
+std::string WithTrailer(std::string payload);
+
+/// Verifies the trailer of a file written by WithTrailer and returns the
+/// payload before it. The trailer is the last "crc " that starts a line;
+/// trailing '\r'/'\n' after its digits are ignored. kParseError, naming
+/// `what`, when the trailer is missing or malformed or the CRC mismatches.
+StatusOr<std::string> CheckTrailer(std::string_view contents,
+                                   std::string_view what);
 
 }  // namespace newsdiff
 

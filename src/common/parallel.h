@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "common/rng.h"
 
@@ -25,9 +23,9 @@ namespace newsdiff {
 ///     independent of shard boundaries — all the la/ GEMMs, elementwise
 ///     matrix ops, the MABED scan) are additionally invariant to `shards`,
 ///     i.e. bitwise equal to the pre-parallel serial code.
-///   - Reductions and sharded-semantics stages (ParallelReduce, PV-DBOW
-///     epochs) depend on the *resolved shard count* only; pin `shards` when
-///     comparing runs.
+///   - Sharded-semantics stages (per-shard partials combined in shard
+///     order: PV-DBOW epochs, Conv1D's backward batch gradient) depend on
+///     the *resolved shard count* only; pin `shards` when comparing runs.
 struct Parallelism {
   /// Worker count. 1 (default) executes shards inline on the calling
   /// thread, reproducing single-threaded behaviour exactly.
@@ -79,27 +77,6 @@ bool InParallelRegion();
 void ParallelFor(
     const Parallelism& par, size_t range,
     const std::function<void(size_t shard, size_t begin, size_t end)>& body);
-
-/// Ordered per-shard partial reduction: partials are computed per shard
-/// (possibly concurrently) and combined serially in shard order, so the
-/// result is a pure function of (range, resolved shards) — never of thread
-/// count or scheduling. combine(identity, x) must return x for the first
-/// fold to be exact.
-template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(const Parallelism& par, size_t range, T identity, MapFn map,
-                 CombineFn combine) {
-  const size_t num_shards = ResolveShards(par, range);
-  if (num_shards == 0) return identity;
-  std::vector<T> partials(num_shards, identity);
-  ParallelFor(par, range, [&](size_t shard, size_t begin, size_t end) {
-    partials[shard] = map(shard, begin, end);
-  });
-  T acc = std::move(partials[0]);
-  for (size_t s = 1; s < num_shards; ++s) {
-    acc = combine(std::move(acc), std::move(partials[s]));
-  }
-  return acc;
-}
 
 /// Derives the RNG stream for one shard of a sharded stochastic stage.
 /// Streams are decorrelated (two splitmix64 rounds over seed and stream id)

@@ -75,6 +75,30 @@ bool IsDigits(std::string_view s) {
   return true;
 }
 
+bool ParseU64(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseI64(std::string_view text, int64_t* out) {
+  const bool negative = !text.empty() && text.front() == '-';
+  if (negative) text.remove_prefix(1);
+  uint64_t magnitude = 0;
+  const uint64_t limit = negative ? uint64_t{1} << 63 : uint64_t{INT64_MAX};
+  if (!ParseU64(text, &magnitude) || magnitude > limit) return false;
+  // Two's-complement wrap (defined since C++20) turns 2^63 into INT64_MIN.
+  *out = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
+  return true;
+}
+
 std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);

@@ -1,6 +1,7 @@
 #ifndef NEWSDIFF_COMMON_STRINGS_H_
 #define NEWSDIFF_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,15 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// True if every character in `s` is an ASCII digit (and `s` is non-empty).
 bool IsDigits(std::string_view s);
+
+/// Parses a decimal field of an on-disk format: ASCII digits only (no sign,
+/// no spaces), non-empty, at most UINT64_MAX. Returns false otherwise and
+/// leaves `*out` untouched.
+bool ParseU64(std::string_view text, uint64_t* out);
+
+/// ParseU64 with an optional leading '-': INT64_MIN..INT64_MAX, false
+/// outside that range.
+bool ParseI64(std::string_view text, int64_t* out);
 
 /// Formats `v` with `digits` decimal places ("%.*f").
 std::string FormatDouble(double v, int digits);

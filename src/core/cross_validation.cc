@@ -42,47 +42,13 @@ StatusOr<double> RunOneFold(const la::Matrix& x, const std::vector<int>& y,
     }
   }
 
-  // Reuse TrainAndEvaluate's preprocessing by training directly here with
-  // the same standardization logic: delegate to TrainAndEvaluate on a
-  // reassembled (train first, val last) matrix with a zero-shuffle split.
-  // Simpler and equally correct: train a model on the fold split inline.
   PredictorOptions fold_options = options;
   fold_options.seed = options.seed + fold * 977;
   nn::Model model = BuildNetwork(kind, x.cols(), fold_options);
   std::unique_ptr<nn::Optimizer> optimizer =
       BuildOptimizer(kind, fold_options);
 
-  if (options.standardize) {
-    std::vector<double> mean(x.cols(), 0.0), stddev(x.cols(), 0.0);
-    for (size_t i = 0; i < n_train; ++i) {
-      const double* row = train_x.RowPtr(i);
-      for (size_t c = 0; c < x.cols(); ++c) mean[c] += row[c];
-    }
-    for (size_t c = 0; c < x.cols(); ++c) {
-      mean[c] /= static_cast<double>(n_train);
-    }
-    for (size_t i = 0; i < n_train; ++i) {
-      const double* row = train_x.RowPtr(i);
-      for (size_t c = 0; c < x.cols(); ++c) {
-        double d = row[c] - mean[c];
-        stddev[c] += d * d;
-      }
-    }
-    for (size_t c = 0; c < x.cols(); ++c) {
-      stddev[c] = std::sqrt(stddev[c] / static_cast<double>(n_train));
-      if (stddev[c] < 1e-9) stddev[c] = 1.0;
-    }
-    auto apply = [&](la::Matrix& m) {
-      for (size_t i = 0; i < m.rows(); ++i) {
-        double* row = m.RowPtr(i);
-        for (size_t c = 0; c < m.cols(); ++c) {
-          row[c] = (row[c] - mean[c]) / stddev[c];
-        }
-      }
-    };
-    apply(train_x);
-    apply(val_x);
-  }
+  if (options.standardize) StandardizeColumns(train_x, val_x);
 
   nn::FitOptions fit;
   fit.epochs = options.max_epochs;

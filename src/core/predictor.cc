@@ -65,6 +65,35 @@ std::unique_ptr<nn::Optimizer> BuildOptimizer(
   return std::make_unique<nn::Adadelta>(ada);
 }
 
+void StandardizeColumns(la::Matrix& train, la::Matrix& held_out) {
+  const size_t n = train.rows(), cols = train.cols();
+  std::vector<double> mean(cols, 0.0), stddev(cols, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = train.RowPtr(i);
+    for (size_t c = 0; c < cols; ++c) mean[c] += row[c];
+  }
+  for (size_t c = 0; c < cols; ++c) mean[c] /= static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = train.RowPtr(i);
+    for (size_t c = 0; c < cols; ++c) {
+      double d = row[c] - mean[c];
+      stddev[c] += d * d;
+    }
+  }
+  for (size_t c = 0; c < cols; ++c) {
+    stddev[c] = std::sqrt(stddev[c] / static_cast<double>(n));
+    if (stddev[c] < 1e-9) stddev[c] = 1.0;
+  }
+  for (la::Matrix* m : {&train, &held_out}) {
+    for (size_t i = 0; i < m->rows(); ++i) {
+      double* row = m->RowPtr(i);
+      for (size_t c = 0; c < cols; ++c) {
+        row[c] = (row[c] - mean[c]) / stddev[c];
+      }
+    }
+  }
+}
+
 StatusOr<EvalOutcome> TrainAndEvaluate(const la::Matrix& x,
                                        const std::vector<int>& y,
                                        NetworkKind kind,
@@ -99,38 +128,7 @@ StatusOr<EvalOutcome> TrainAndEvaluate(const la::Matrix& x,
     test_y[i] = y[src];
   }
 
-  if (options.standardize) {
-    // Column statistics from the training split only; applied to both.
-    std::vector<double> mean(x.cols(), 0.0), stddev(x.cols(), 0.0);
-    for (size_t i = 0; i < n_train; ++i) {
-      const double* row = train_x.RowPtr(i);
-      for (size_t c = 0; c < x.cols(); ++c) mean[c] += row[c];
-    }
-    for (size_t c = 0; c < x.cols(); ++c) {
-      mean[c] /= static_cast<double>(n_train);
-    }
-    for (size_t i = 0; i < n_train; ++i) {
-      const double* row = train_x.RowPtr(i);
-      for (size_t c = 0; c < x.cols(); ++c) {
-        double d = row[c] - mean[c];
-        stddev[c] += d * d;
-      }
-    }
-    for (size_t c = 0; c < x.cols(); ++c) {
-      stddev[c] = std::sqrt(stddev[c] / static_cast<double>(n_train));
-      if (stddev[c] < 1e-9) stddev[c] = 1.0;
-    }
-    auto apply = [&](la::Matrix& m) {
-      for (size_t i = 0; i < m.rows(); ++i) {
-        double* row = m.RowPtr(i);
-        for (size_t c = 0; c < m.cols(); ++c) {
-          row[c] = (row[c] - mean[c]) / stddev[c];
-        }
-      }
-    };
-    apply(train_x);
-    apply(test_x);
-  }
+  if (options.standardize) StandardizeColumns(train_x, test_x);
 
   // Majority-class share of the training labels; a fit that cannot beat it
   // has collapsed and deserves a restart with a different initialisation.

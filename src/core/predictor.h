@@ -79,6 +79,12 @@ StatusOr<EvalOutcome> TrainAndEvaluate(const la::Matrix& x,
                                        NetworkKind kind,
                                        const PredictorOptions& options);
 
+/// Z-scores every column of `train` and `held_out` in place with the mean
+/// and population standard deviation of `train`'s columns (a deviation
+/// under 1e-9 counts as 1): the `standardize` step of TrainAndEvaluate and
+/// of each CrossValidate fold.
+void StandardizeColumns(la::Matrix& train, la::Matrix& held_out);
+
 /// Builds just the model for `kind` with the given input width (benches use
 /// this for timing runs).
 nn::Model BuildNetwork(NetworkKind kind, size_t input_size,

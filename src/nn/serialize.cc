@@ -10,7 +10,7 @@ namespace newsdiff::nn {
 
 namespace {
 constexpr const char* kModelMagic = "newsdiff-model";
-constexpr int kModelVersion = 2;  // 1 = no crc trailer (still readable)
+constexpr int kModelVersion = 2;
 constexpr const char* kTrainMagic = "newsdiff-train";
 constexpr int kTrainVersion = 1;
 
@@ -84,37 +84,6 @@ double BitsToDouble(uint64_t bits) {
   return v;
 }
 
-/// Splits `contents` into payload + stated CRC from the "crc <hex>" trailer
-/// line, verifying the checksum.
-Status CheckTrailer(const std::string& contents, const std::string& path,
-                    std::string* payload) {
-  size_t crc_pos = contents.rfind("crc ");
-  if (crc_pos == std::string::npos ||
-      (crc_pos != 0 && contents[crc_pos - 1] != '\n')) {
-    return Status::ParseError("missing crc trailer in " + path);
-  }
-  std::string crc_line = contents.substr(crc_pos + 4);
-  while (!crc_line.empty() &&
-         (crc_line.back() == '\n' || crc_line.back() == '\r')) {
-    crc_line.pop_back();
-  }
-  uint32_t stated = 0;
-  if (!ParseCrc32Hex(crc_line, &stated)) {
-    return Status::ParseError("malformed crc trailer in " + path);
-  }
-  *payload = contents.substr(0, crc_pos);
-  if (Crc32(*payload) != stated) {
-    return Status::ParseError("checksum mismatch in " + path +
-                              " (torn write or bit rot)");
-  }
-  return Status::OK();
-}
-
-std::string WithTrailer(std::string payload) {
-  payload += "crc " + Crc32Hex(Crc32(payload)) + "\n";
-  return payload;
-}
-
 }  // namespace
 
 Status SaveWeights(Model& model, const std::string& path, FileIo* io) {
@@ -127,24 +96,19 @@ Status SaveWeights(Model& model, const std::string& path, FileIo* io) {
 Status LoadWeights(Model& model, const std::string& path, FileIo* io) {
   StatusOr<std::string> contents = Io(io).ReadFile(path);
   if (!contents.ok()) return contents.status();
+  StatusOr<std::string> payload = CheckTrailer(*contents, path);
+  if (!payload.ok()) return payload.status();
 
-  std::istringstream header(*contents);
+  std::istringstream in(*payload);
   std::string magic;
   int version = 0;
-  if (!(header >> magic >> version) || magic != kModelMagic) {
+  if (!(in >> magic >> version) || magic != kModelMagic) {
     return Status::ParseError("not a newsdiff model file: " + path);
   }
-  if (version != 1 && version != kModelVersion) {
+  if (version != kModelVersion) {
     return Status::ParseError("unsupported model version " +
                               std::to_string(version));
   }
-
-  std::string payload = *contents;
-  if (version >= 2) {
-    NEWSDIFF_RETURN_IF_ERROR(CheckTrailer(*contents, path, &payload));
-  }
-  std::istringstream in(payload);
-  in >> magic >> version;  // re-skip the header
   return ReadModelBody(model, in, path);
 }
 
@@ -183,10 +147,10 @@ StatusOr<TrainingState> LoadTrainingCheckpoint(Model& model,
                                                FileIo* io) {
   StatusOr<std::string> contents = Io(io).ReadFile(path);
   if (!contents.ok()) return contents.status();
-  std::string payload;
-  NEWSDIFF_RETURN_IF_ERROR(CheckTrailer(*contents, path, &payload));
+  StatusOr<std::string> payload = CheckTrailer(*contents, path);
+  if (!payload.ok()) return payload.status();
 
-  std::istringstream in(payload);
+  std::istringstream in(*payload);
   std::string magic;
   int version = 0;
   if (!(in >> magic >> version) || magic != kTrainMagic) {

@@ -26,7 +26,7 @@ namespace newsdiff::nn {
 ///   crc <8-hex-crc32>  (over every byte before this line)
 /// Files are written via temp+rename, so a crash mid-save never clobbers
 /// the previous weights, and the CRC trailer detects torn writes and bit
-/// rot at load time. Version-1 files (same layout, no trailer) still load.
+/// rot at load time.
 /// Loading requires a model with the same architecture (identical parameter
 /// names and shapes, in order); mismatches produce a FailedPrecondition.
 
@@ -36,7 +36,7 @@ Status SaveWeights(Model& model, const std::string& path,
                    FileIo* io = nullptr);
 
 /// Restores parameters previously written by SaveWeights into `model`,
-/// verifying the checksum when present.
+/// verifying the checksum first.
 Status LoadWeights(Model& model, const std::string& path,
                    FileIo* io = nullptr);
 

@@ -210,7 +210,11 @@ void Collection::PadSlots(size_t n) {
 void Collection::IndexInsert(DocId id, const Value& doc) {
   for (auto& [field, index] : indexes_) {
     const Value* f = doc.Find(field);
-    if (f != nullptr) index[IndexKey(*f)].push_back(id);
+    if (f == nullptr) continue;
+    // Buckets stay in id order, which is insertion order, whatever order
+    // rewrites and replayed records arrive in.
+    std::vector<DocId>& ids = index[IndexKey(*f)];
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
   }
 }
 

@@ -161,7 +161,7 @@ class Collection {
   std::vector<Slot> slots_;  // slot index == DocId
   size_t live_count_ = 0;
   CollectionObserver* observer_ = nullptr;  // not owned
-  // field -> (index key -> doc ids)
+  // field -> (index key -> doc ids, ascending)
   std::unordered_map<std::string,
                      std::unordered_map<std::string, std::vector<DocId>>>
       indexes_;

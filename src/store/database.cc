@@ -475,6 +475,34 @@ Status Database::Checkpoint(const SnapshotOptions& options) {
   return Status::OK();
 }
 
+Status Database::ApplyWalRecord(const std::string& collection,
+                                const WalRecord& record) {
+  if (wal_ != nullptr) {
+    return Status::FailedPrecondition("replayed records must not be re-logged");
+  }
+  switch (record.type) {
+    case WalRecord::Type::kSegmentHeader:
+      // Restore trailing dead slots so id assignment matches the writer.
+      GetOrCreate(collection).PadSlots(record.slot_count);
+      return Status::OK();
+    case WalRecord::Type::kPut:
+      return GetOrCreate(collection).RestorePut(record.id, record.doc);
+    case WalRecord::Type::kDelete:
+      GetOrCreate(collection).RestoreDelete(record.id);
+      return Status::OK();
+    case WalRecord::Type::kDrop:
+      // Replaying a drop of an already-absent collection is benign.
+      (void)Drop(collection);
+      return Status::OK();
+    case WalRecord::Type::kCheckpoint:
+    case WalRecord::Type::kPromotion:
+      // Markers: the state a checkpoint names is in its snapshot, and a
+      // promotion changes the writer, not the data.
+      return Status::OK();
+  }
+  return Status::Internal("unhandled wal record type");
+}
+
 Status Database::RecoverWal(const std::string& dir,
                             const SnapshotOptions& snapshot_options,
                             const WalOptions& wal_options,
@@ -510,82 +538,36 @@ Status Database::RecoverWal(const std::string& dir,
   for (const WalSegmentInfo& segment : ListWalSegments(*listing)) {
     if (segment.base_generation < base) continue;
     ++report->wal_segments;
+    const std::string where = "wal " + segment.file + ": ";
     StatusOr<std::string> bytes = io.ReadFile(dir + "/" + segment.file);
     if (!bytes.ok()) {
       ++report->wal_records_rejected;
-      report->problems.push_back("wal " + segment.file + ": " +
-                                 bytes.status().message());
+      report->problems.push_back(where + bytes.status().message());
       continue;
     }
-    WalSegmentContents decoded = DecodeWalSegment(*bytes);
-    report->wal_records_truncated += decoded.truncated;
-    report->wal_records_rejected += decoded.rejected;
-    if (!decoded.problem.empty()) {
-      report->problems.push_back("wal " + segment.file + ": " +
-                                 decoded.problem);
-    }
-    if (decoded.records.empty()) continue;
-    // The first record must be this segment's own header; anything else
-    // means the file was renamed or damaged, and none of it can be trusted.
-    const WalRecord& header = decoded.records.front();
-    if (header.type != WalRecord::Type::kSegmentHeader ||
-        header.collection != segment.collection ||
-        header.base_generation != segment.base_generation ||
-        header.part != segment.part) {
-      report->wal_records_rejected += decoded.records.size();
-      report->problems.push_back("wal " + segment.file +
-                                 ": header does not match file name");
-      continue;
-    }
-    GetOrCreate(segment.collection).PadSlots(header.slot_count);
-    for (size_t i = 1; i < decoded.records.size(); ++i) {
-      const WalRecord& record = decoded.records[i];
-      switch (record.type) {
-        case WalRecord::Type::kPut: {
-          StatusOr<Value> doc = ParseJson(record.doc_json);
-          if (!doc.ok() || !doc->is_object()) {
-            // Indistinguishable from bit rot inside a CRC collision; stop
-            // trusting the segment.
-            ++report->wal_records_rejected;
-            report->problems.push_back("wal " + segment.file +
-                                       ": unparseable put document");
-            i = decoded.records.size();
-            break;
-          }
-          NEWSDIFF_RETURN_IF_ERROR(GetOrCreate(segment.collection)
-                                       .RestorePut(record.id,
-                                                   std::move(doc).value()));
-          ++report->wal_records_replayed;
-          break;
-        }
-        case WalRecord::Type::kDelete:
-          GetOrCreate(segment.collection).RestoreDelete(record.id);
-          ++report->wal_records_replayed;
-          break;
-        case WalRecord::Type::kDrop:
-          // Dropping an already-absent collection during replay is benign.
-          (void)Drop(segment.collection);
-          ++report->wal_records_replayed;
-          break;
-        case WalRecord::Type::kCheckpoint:
-          // End-of-segment marker; the state it names was captured by that
-          // checkpoint's snapshot. Nothing to apply.
-          break;
-        case WalRecord::Type::kPromotion:
-          // Replication control: a fenced failover happened here. Mutates
-          // nothing; surface the token for operators and replicas.
-          report->wal_fencing_token =
-              std::max(report->wal_fencing_token, record.token);
-          break;
-        case WalRecord::Type::kSegmentHeader:
-          // A second header mid-segment is damage.
-          ++report->wal_records_rejected;
-          report->problems.push_back("wal " + segment.file +
-                                     ": unexpected mid-segment header");
-          i = decoded.records.size();
-          break;
+    WalSegmentReader reader(segment);
+    std::string_view rest = *bytes;
+    WalFrame frame;
+    while ((frame = reader.Next(&rest)).verdict == WalFrame::Verdict::kRecord) {
+      NEWSDIFF_RETURN_IF_ERROR(
+          ApplyWalRecord(segment.collection, frame.record));
+      if (frame.record.is_mutation()) ++report->wal_records_replayed;
+      if (frame.record.type == WalRecord::Type::kPromotion) {
+        // A fenced failover happened here; surface the token for operators
+        // and replicas.
+        report->wal_fencing_token =
+            std::max(report->wal_fencing_token, frame.record.token);
       }
     }
+    // The scan stops at the first frame it cannot trust; the rest of the
+    // segment is never applied.
+    if (frame.verdict == WalFrame::Verdict::kEnd) continue;
+    if (frame.verdict == WalFrame::Verdict::kTorn) {
+      ++report->wal_records_truncated;
+    } else {
+      ++report->wal_records_rejected;
+    }
+    report->problems.push_back(where + frame.problem);
   }
 
   return AttachWal(dir, wal_options);

@@ -108,6 +108,15 @@ class Database {
                     const WalOptions& wal_options,
                     SnapshotLoadReport* report = nullptr);
 
+  /// Replays one record that a WalSegmentReader accepted from
+  /// `collection`'s log, through the idempotent restore path: a segment
+  /// header pads the slot vector to its slot count, put/del/drop restore
+  /// slot state, and checkpoint and promotion markers change nothing.
+  /// Crash recovery (RecoverWal) and replicas (store/replica.h) both replay
+  /// through it. kFailedPrecondition once a WAL is attached: replayed
+  /// records must not be logged again.
+  Status ApplyWalRecord(const std::string& collection, const WalRecord& record);
+
  private:
   struct WalBinding;
 

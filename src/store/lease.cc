@@ -1,7 +1,7 @@
 #include "store/lease.h"
 
 #include <algorithm>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -17,30 +17,6 @@ constexpr char kMagic[] = "newsdiff-lease";
 constexpr char kHwmMagic[] = "newsdiff-lease-hwm";
 constexpr int kFormatVersion = 1;
 
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.size() > 20) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseI64(std::string_view text, int64_t* out) {
-  bool negative = false;
-  if (!text.empty() && text.front() == '-') {
-    negative = true;
-    text.remove_prefix(1);
-  }
-  uint64_t magnitude = 0;
-  if (!ParseU64(text, &magnitude)) return false;
-  *out = negative ? -static_cast<int64_t>(magnitude)
-                  : static_cast<int64_t>(magnitude);
-  return true;
-}
-
 }  // namespace
 
 std::string SerializeLeaseRecord(const LeaseRecord& record) {
@@ -49,33 +25,17 @@ std::string SerializeLeaseRecord(const LeaseRecord& record) {
   body += "owner " + record.owner + "\n";
   body += "token " + std::to_string(record.token) + "\n";
   body += "expires_ms " + std::to_string(record.expires_ms) + "\n";
-  body += "crc " + Crc32Hex(Crc32(body)) + "\n";
-  return body;
+  return WithTrailer(std::move(body));
 }
 
 StatusOr<LeaseRecord> ParseLeaseRecord(const std::string& text) {
-  size_t crc_pos = text.rfind("crc ");
-  if (crc_pos == std::string::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return Status::ParseError("lease missing crc trailer");
-  }
-  std::string crc_line = text.substr(crc_pos);
-  while (!crc_line.empty() &&
-         (crc_line.back() == '\n' || crc_line.back() == '\r')) {
-    crc_line.pop_back();
-  }
-  uint32_t stated = 0;
-  if (!ParseCrc32Hex(std::string_view(crc_line).substr(4), &stated)) {
-    return Status::ParseError("lease crc trailer malformed");
-  }
-  if (Crc32(text.substr(0, crc_pos)) != stated) {
-    return Status::ParseError("lease checksum mismatch");
-  }
+  StatusOr<std::string> body = CheckTrailer(text, "lease");
+  if (!body.ok()) return body.status();
 
   LeaseRecord record;
   bool saw_magic = false, saw_owner = false, saw_token = false,
        saw_expiry = false;
-  for (const std::string& line : Split(text.substr(0, crc_pos), '\n')) {
+  for (const std::string& line : Split(*body, '\n')) {
     if (line.empty()) continue;
     const std::vector<std::string> tokens = SplitWhitespace(line);
     if (tokens.empty()) continue;
@@ -157,17 +117,14 @@ StatusOr<uint64_t> Lease::ReadTokenHighWater() const {
   // its CRC is treated as absent — the incumbent lease record still bounds
   // the token, so a lost mark only matters when both files are damaged at
   // once, and even then the fallback is the pre-mark behaviour.
-  const std::vector<std::string> lines = Split(contents.value(), '\n');
-  if (lines.size() < 2) return uint64_t{0};
-  const std::vector<std::string> head = SplitWhitespace(lines[0]);
-  const std::vector<std::string> trailer = SplitWhitespace(lines[1]);
-  if (head.size() != 2 || head[0] != kHwmMagic) return uint64_t{0};
-  if (trailer.size() != 2 || trailer[0] != "crc") return uint64_t{0};
-  uint32_t stated = 0;
-  if (!ParseCrc32Hex(trailer[1], &stated)) return uint64_t{0};
-  if (Crc32(lines[0] + "\n") != stated) return uint64_t{0};
+  StatusOr<std::string> body = CheckTrailer(contents.value(), "lease mark");
+  if (!body.ok()) return uint64_t{0};
+  const std::vector<std::string> fields = SplitWhitespace(*body);
   uint64_t token = 0;
-  if (!ParseU64(head[1], &token)) return uint64_t{0};
+  if (fields.size() != 2 || fields[0] != kHwmMagic ||
+      !ParseU64(fields[1], &token)) {
+    return uint64_t{0};
+  }
   return token;
 }
 
@@ -198,11 +155,10 @@ StatusOr<Lease> Lease::Acquire(const std::string& dir,
       // between the two, the next claimant still starts above next_token,
       // so a fenced writer can never be handed its own token back even
       // when the lease file is later lost or corrupted.
-      const std::string hwm_line =
-          std::string(kHwmMagic) + " " + std::to_string(next_token) + "\n";
       NEWSDIFF_RETURN_IF_ERROR(WriteFileAtomic(
           lease.io(), dir + "/" + kHighWaterFile,
-          hwm_line + "crc " + Crc32Hex(Crc32(hwm_line)) + "\n"));
+          WithTrailer(std::string(kHwmMagic) + " " +
+                      std::to_string(next_token) + "\n")));
       LeaseRecord record;
       record.owner = options.owner;
       record.token = next_token;

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "store/json.h"
 #include "store/snapshot.h"
 
 namespace newsdiff::store {
@@ -67,46 +66,6 @@ Status Replica::Bootstrap() {
   return Status::OK();
 }
 
-Status Replica::ApplyRecord(const std::string& collection,
-                            const WalRecord& record) {
-  switch (record.type) {
-    case WalRecord::Type::kSegmentHeader:
-      // Restore trailing dead slots so id assignment matches the writer.
-      db_->GetOrCreate(collection).PadSlots(record.slot_count);
-      return Status::OK();
-    case WalRecord::Type::kPut: {
-      StatusOr<Value> doc = ParseJson(record.doc_json);
-      if (!doc.ok() || !doc->is_object()) {
-        // CRC-valid but unusable: bit rot inside a CRC collision. The
-        // tailer stops trusting the segment, as recovery would.
-        return Status::ParseError("unparseable put document");
-      }
-      NEWSDIFF_RETURN_IF_ERROR(db_->GetOrCreate(collection)
-                                   .RestorePut(record.id,
-                                               std::move(doc).value()));
-      ++stats_.records_applied;
-      return Status::OK();
-    }
-    case WalRecord::Type::kDelete:
-      db_->GetOrCreate(collection).RestoreDelete(record.id);
-      ++stats_.records_applied;
-      return Status::OK();
-    case WalRecord::Type::kDrop:
-      // Replaying a drop of an already-absent collection is benign.
-      (void)db_->Drop(collection);
-      ++stats_.records_applied;
-      return Status::OK();
-    case WalRecord::Type::kCheckpoint:
-      stats_.checkpoint_generation =
-          std::max(stats_.checkpoint_generation, record.generation);
-      return Status::OK();
-    case WalRecord::Type::kPromotion:
-      stats_.fencing_token = std::max(stats_.fencing_token, record.token);
-      return Status::OK();
-  }
-  return Status::Internal("unhandled wal record type");
-}
-
 Status Replica::Poll() {
   if (promoted_) {
     return Status::FailedPrecondition("replica already promoted");
@@ -118,18 +77,20 @@ Status Replica::Poll() {
   const size_t failures_before = tailer_->stats().read_failures;
   Status polled = tailer_->Poll(
       [this](const std::string& collection, const WalRecord& record) {
-        return ApplyRecord(collection, record);
+        NEWSDIFF_RETURN_IF_ERROR(db_->ApplyWalRecord(collection, record));
+        if (record.is_mutation()) ++stats_.records_applied;
+        return Status::OK();
       });
+  const WalTailerStats& tailed = tailer_->stats();
+  stats_.checkpoint_generation =
+      std::max(stats_.checkpoint_generation, tailed.checkpoint_generation);
+  stats_.fencing_token = std::max(stats_.fencing_token, tailed.fencing_token);
   if (!polled.ok()) {
     // The writer pruned a segment we still needed; everything it held is
     // in a newer snapshot, so start over from there.
     return Resync();
   }
-  const WalTailerStats& tailed = tailer_->stats();
   stats_.bytes_behind = tailed.bytes_behind;
-  stats_.checkpoint_generation =
-      std::max(stats_.checkpoint_generation, tailed.checkpoint_generation);
-  stats_.fencing_token = std::max(stats_.fencing_token, tailed.fencing_token);
   // A poll that hit a read fault may have missed durable bytes — it proves
   // nothing, so it cannot reset the staleness clock.
   stats_.caught_up = tailed.bytes_behind == 0 &&

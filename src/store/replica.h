@@ -120,8 +120,6 @@ class Replica {
  private:
   FileIo& io() const;
   Clock& clock() const;
-  /// The tailer's Apply callback: replays one record into `*db_`.
-  Status ApplyRecord(const std::string& collection, const WalRecord& record);
   /// Polls until `promote_drain_polls` consecutive quiet polls (no new
   /// records, no read faults, no resync) prove the fenced log is dry.
   Status DrainUntilQuiet();

@@ -4,19 +4,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32.h"
-
 namespace newsdiff::store {
 
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 8;  // u32le length + u32le CRC-32
-
-uint32_t ReadU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
+std::pair<uint64_t, uint64_t> Position(const WalSegmentName& segment) {
+  return {segment.base_generation, segment.part};
 }
 
 }  // namespace
@@ -40,119 +33,77 @@ void WalTailer::AbandonSegment(Cursor& cursor) {
 }
 
 void WalTailer::ConsumeDelta(const std::string& collection, Cursor& cursor,
-                             const std::string& bytes, bool closed,
+                             std::string_view bytes, bool closed,
                              const Apply& apply) {
-  size_t pos = 0;
   while (true) {
-    const size_t remaining = bytes.size() - pos;
-    if (remaining == 0) {
-      // Clean frame boundary: everything observed is applied.
-      cursor.last_reject.clear();
-      cursor.reject_polls = 0;
-      cursor.unconsumed = 0;
-      // A closed segment that ends cleanly (no ckpt marker — the writer
-      // rotated on size or a poisoned append) is simply finished.
-      if (closed) cursor.done = true;
-      return;
-    }
-
-    // Frame header and payload must be complete before anything verifies.
-    bool torn = remaining < kFrameHeaderBytes;
-    uint32_t length = 0;
-    if (!torn) {
-      length = ReadU32Le(bytes.data() + pos);
-      torn = length != 0 && remaining - kFrameHeaderBytes < length;
-    }
-    if (torn) {
-      if (closed) {
-        // Nothing more will ever arrive: this is the poisoned tail of a
-        // part the writer rotated away from — the bytes recovery drops.
-        cursor.done = true;
-        cursor.unconsumed = 0;
+    WalFrame frame = cursor.reader.Next(&bytes);
+    switch (frame.verdict) {
+      case WalFrame::Verdict::kRecord:
+        break;
+      case WalFrame::Verdict::kEnd:
+        // Clean frame boundary: everything observed is applied.
         cursor.last_reject.clear();
         cursor.reject_polls = 0;
-      } else {
-        // An append in flight, or a transiently torn read; wait it out.
-        ++stats_.torn_waits;
-        cursor.unconsumed = remaining;
-      }
-      return;
-    }
-
-    const uint32_t stated_crc = ReadU32Le(bytes.data() + pos + 4);
-    const std::string payload =
-        length == 0 ? std::string()
-                    : bytes.substr(pos + kFrameHeaderBytes, length);
-    if (length == 0 || Crc32(payload) != stated_crc) {
-      // Unverifiable bytes: in-flight rot on the read path redraws next
-      // poll, durable rot in the file repeats byte-for-byte.
-      if (closed) {
-        // Closed segments are read with ReadFile, which cannot race an
-        // append — the damage is already known durable.
-        AbandonSegment(cursor);
+        cursor.unconsumed = 0;
+        // A closed segment that ends cleanly (no ckpt marker — the writer
+        // rotated on size or a poisoned append) is simply finished.
+        if (closed) cursor.done = true;
         return;
-      }
-      const std::string chunk = bytes.substr(pos);
-      if (chunk == cursor.last_reject) {
-        if (++cursor.reject_polls >= options_.max_reject_polls) {
+      case WalFrame::Verdict::kTorn:
+        if (closed) {
+          // Nothing more will ever arrive: this is the poisoned tail of a
+          // part the writer rotated away from — the bytes recovery drops.
+          cursor.done = true;
+          cursor.unconsumed = 0;
+          cursor.last_reject.clear();
+          cursor.reject_polls = 0;
+        } else {
+          // An append in flight, or a transiently torn read; wait it out.
+          ++stats_.torn_waits;
+          cursor.unconsumed = bytes.size();
+        }
+        return;
+      case WalFrame::Verdict::kCorrupt:
+        // Unverifiable bytes: in-flight rot on the read path redraws next
+        // poll, durable rot in the file repeats byte-for-byte. Closed
+        // segments are read with ReadFile, which cannot race an append —
+        // the damage is already known durable.
+        if (closed) {
           AbandonSegment(cursor);
           return;
         }
-      } else {
-        cursor.last_reject = chunk;
-        cursor.reject_polls = 1;
-      }
-      cursor.unconsumed = remaining;
-      return;
-    }
-
-    StatusOr<WalRecord> record = ParseWalPayload(payload);
-    if (!record.ok()) {
-      // CRC-valid garbage is durable logical damage, not a transient read
-      // artifact; stop trusting the segment, as recovery does.
-      AbandonSegment(cursor);
-      return;
-    }
-
-    if (!cursor.started) {
-      // The first record must be this segment's own header; anything else
-      // means the file was renamed or damaged.
-      if (record->type != WalRecord::Type::kSegmentHeader ||
-          record->collection != collection ||
-          record->base_generation != cursor.base ||
-          record->part != cursor.part) {
+        if (bytes == cursor.last_reject) {
+          if (++cursor.reject_polls >= options_.max_reject_polls) {
+            AbandonSegment(cursor);
+            return;
+          }
+        } else {
+          cursor.last_reject = std::string(bytes);
+          cursor.reject_polls = 1;
+        }
+        cursor.unconsumed = bytes.size();
+        return;
+      case WalFrame::Verdict::kRejected:
+        // CRC-valid but unusable is durable logical damage, not a
+        // transient read artifact; stop trusting the segment, as recovery
+        // does.
         AbandonSegment(cursor);
         return;
-      }
-      cursor.started = true;
-    } else {
-      switch (record->type) {
-        case WalRecord::Type::kSegmentHeader:
-          // A second header mid-segment is damage.
-          AbandonSegment(cursor);
-          return;
-        case WalRecord::Type::kCheckpoint:
-          stats_.checkpoint_generation =
-              std::max(stats_.checkpoint_generation, record->generation);
-          // End-of-segment marker: the writer rotated to the new base.
-          cursor.done = true;
-          break;
-        case WalRecord::Type::kPromotion:
-          stats_.fencing_token =
-              std::max(stats_.fencing_token, record->token);
-          break;
-        default:
-          break;
-      }
     }
 
-    const Status applied = apply(collection, *record);
-    if (!applied.ok()) {
+    const WalRecord& record = frame.record;
+    if (record.type == WalRecord::Type::kCheckpoint) {
+      stats_.checkpoint_generation =
+          std::max(stats_.checkpoint_generation, record.generation);
+      // End-of-segment marker: the writer rotated to the new base.
+      cursor.done = true;
+    } else if (record.type == WalRecord::Type::kPromotion) {
+      stats_.fencing_token = std::max(stats_.fencing_token, record.token);
+    }
+    if (!apply(collection, record).ok()) {
       AbandonSegment(cursor);
       return;
     }
-    pos += kFrameHeaderBytes + length;
-    cursor.offset += kFrameHeaderBytes + length;
     cursor.last_reject.clear();
     cursor.reject_polls = 0;
     ++stats_.records_delivered;
@@ -187,44 +138,34 @@ Status WalTailer::Poll(const Apply& apply) {
   }
 
   for (auto& [collection, segments] : groups) {
-    Cursor& cursor = cursors_[collection];
-    if (!cursor.positioned) {
-      cursor.positioned = true;
-      cursor.base = segments.front().base_generation;
-      cursor.part = segments.front().part;
+    auto it = cursors_.find(collection);
+    if (it == cursors_.end()) {
+      it = cursors_.emplace(collection, Cursor(segments.front())).first;
       ++stats_.segments_tracked;
     }
+    Cursor& cursor = it->second;
     while (true) {
       if (cursor.done) {
         // Advance to the next segment in (base, part) order, if one exists
         // in this listing.
         const WalSegmentInfo* next = nullptr;
         for (const WalSegmentInfo& segment : segments) {
-          if (std::make_pair(segment.base_generation, segment.part) >
-              std::make_pair(cursor.base, cursor.part)) {
+          if (Position(segment) > Position(cursor.reader.segment())) {
             next = &segment;
             break;
           }
         }
         if (next == nullptr) break;  // caught up; wait for rotation
-        cursor.base = next->base_generation;
-        cursor.part = next->part;
-        cursor.offset = 0;
-        cursor.started = false;
-        cursor.done = false;
-        cursor.last_reject.clear();
-        cursor.reject_polls = 0;
-        cursor.unconsumed = 0;
+        cursor = Cursor(*next);
         ++stats_.segments_tracked;
       }
 
       const WalSegmentInfo* current = nullptr;
       bool later_exists = false;
       for (const WalSegmentInfo& segment : segments) {
-        const auto key = std::make_pair(segment.base_generation, segment.part);
-        const auto here = std::make_pair(cursor.base, cursor.part);
-        if (key == here) current = &segment;
-        if (key > here) later_exists = true;
+        const auto here = Position(cursor.reader.segment());
+        if (Position(segment) == here) current = &segment;
+        if (Position(segment) > here) later_exists = true;
       }
       if (current == nullptr) {
         // The segment under the cursor vanished before it was finished —
@@ -232,11 +173,14 @@ Status WalTailer::Poll(const Apply& apply) {
         // snapshots now.
         return Status::Unavailable(
             "wal segment " +
-            WalSegmentFileName(collection, cursor.base, cursor.part) +
+            WalSegmentFileName(collection,
+                               cursor.reader.segment().base_generation,
+                               cursor.reader.segment().part) +
             " pruned under the tailer; resync");
       }
 
       const std::string path = dir_ + "/" + current->file;
+      const uint64_t offset = cursor.reader.offset();
       const bool closed = later_exists;
       std::string delta;
       if (closed) {
@@ -247,9 +191,9 @@ Status WalTailer::Poll(const Apply& apply) {
           ++stats_.read_failures;
           break;  // transient; retry next poll
         }
-        if (whole->size() > cursor.offset) delta = whole->substr(cursor.offset);
+        if (whole->size() > offset) delta = whole->substr(offset);
       } else {
-        StatusOr<std::string> tail = io().ReadFileFrom(path, cursor.offset);
+        StatusOr<std::string> tail = io().ReadFileFrom(path, offset);
         if (!tail.ok()) {
           ++stats_.read_failures;
           break;  // transient; retry next poll

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/file_io.h"
 #include "common/status.h"
@@ -18,10 +19,11 @@ namespace newsdiff::store {
 /// process is writing, through the same FileIo seam the writer uses. Each
 /// Poll() lists the directory, reads only the bytes appended since the last
 /// poll (FileIo::ReadFileFrom — catch-up traffic is O(delta), not
-/// O(store)), verifies each frame's CRC, and hands verified records to the
-/// caller in exactly the order recovery (Database::RecoverWal) would replay
-/// them. The tailer is the read half of replication; store/replica.h wraps
-/// it with a Database and fenced promotion.
+/// O(store)), decodes them with the WalSegmentReader recovery uses, and
+/// hands the accepted records to the caller in exactly the order recovery
+/// (Database::RecoverWal) would replay them. The tailer is the read half
+/// of replication; store/replica.h wraps it with a Database and fenced
+/// promotion.
 ///
 /// Reading a log that someone else is appending to means every anomaly is
 /// ambiguous at first sight, and the tailer resolves each one the way that
@@ -33,7 +35,8 @@ namespace newsdiff::store {
 ///     part for the collection exists is the segment closed, and a closed
 ///     segment's torn tail is permanent (a poisoned part the writer rotated
 ///     away from) — exactly the bytes recovery drops.
-///   - *CRC mismatch*: could be in-flight bit rot on the read path
+///   - *CRC mismatch* (or a zero-length frame): could be in-flight bit rot
+///     on the read path
 ///     (transient — the next read redraws) or durable rot in the file. The
 ///     tailer never advances past an unverified frame; it declares the
 ///     damage durable only after `max_reject_polls` consecutive polls
@@ -42,6 +45,10 @@ namespace newsdiff::store {
 ///     as recovery stops at the first damaged frame. Closed segments are
 ///     re-read whole (ReadFile, which cannot race an append), so their
 ///     verdicts are immediate and final.
+///   - *Rejected record*: a CRC-valid record that does not fit the segment
+///     (WalSegmentReader's kRejected) is durable damage, not a read
+///     artifact; the tailer abandons the segment at once, as recovery
+///     stops there and counts it.
 ///   - *Checkpoint marker*: records the generation and moves on to the
 ///     segment the writer rotated to.
 ///   - *Vanished segment*: a segment pruned while the cursor still needed
@@ -79,11 +86,9 @@ struct WalTailerStats {
 
 class WalTailer {
  public:
-  /// Receives each verified record in replay order. Segment headers are
+  /// Receives each accepted record in replay order. Segment headers are
   /// delivered too (they carry the slot count replicas must pad to). A
-  /// non-OK return means the record is unusable (e.g. a CRC-valid put
-  /// whose document does not parse) — the tailer treats the segment as
-  /// damaged and stops scanning it, mirroring recovery.
+  /// non-OK return abandons the segment like a rejected record.
   using Apply =
       std::function<Status(const std::string& collection, const WalRecord&)>;
 
@@ -105,11 +110,9 @@ class WalTailer {
  private:
   /// Read position within one collection's segment sequence.
   struct Cursor {
-    uint64_t base = 0;
-    uint64_t part = 0;
-    bool positioned = false;  // cursor points at a real segment
-    uint64_t offset = 0;      // bytes consumed (verified frame boundary)
-    bool started = false;     // segment header verified
+    explicit Cursor(const WalSegmentName& segment) : reader(segment) {}
+
+    WalSegmentReader reader;  // the segment under the cursor, and how far
     bool done = false;        // finished with this segment; advance
     std::string last_reject;  // unverified remainder at the last reject
     size_t reject_polls = 0;  // consecutive polls rejecting those bytes
@@ -117,11 +120,11 @@ class WalTailer {
   };
 
   FileIo& io() const;
-  /// Consumes the frames in `bytes` (the segment's contents from
-  /// cursor.offset on). `closed` marks a segment that can no longer grow;
+  /// Consumes the frames in `bytes` (the segment's contents from the
+  /// reader's offset on). `closed` marks a segment that can no longer grow;
   /// its anomalies are final instead of awaited.
   void ConsumeDelta(const std::string& collection, Cursor& cursor,
-                    const std::string& bytes, bool closed, const Apply& apply);
+                    std::string_view bytes, bool closed, const Apply& apply);
   /// Marks the cursor's segment abandoned at durable damage.
   void AbandonSegment(Cursor& cursor);
 

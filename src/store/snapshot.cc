@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/strings.h"
@@ -21,19 +22,6 @@ std::string GenToken(uint64_t generation) {
   return std::string(buf);
 }
 
-bool ParseU64(const std::string& token, uint64_t* out) {
-  if (token.empty() || token.size() > 20) return false;
-  uint64_t v = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 std::string SerializeManifest(const Manifest& manifest) {
@@ -44,36 +32,19 @@ std::string SerializeManifest(const Manifest& manifest) {
     body += "collection " + e.collection + " " + e.file + " " +
             std::to_string(e.docs) + " " + Crc32Hex(e.crc32) + "\n";
   }
-  body += "crc " + Crc32Hex(Crc32(body)) + "\n";
-  return body;
+  return WithTrailer(std::move(body));
 }
 
 StatusOr<Manifest> ParseManifest(const std::string& text) {
-  // The trailer line ("crc <hex>\n") covers every byte before it; verify it
-  // before trusting any field.
-  size_t crc_pos = text.rfind("crc ");
-  if (crc_pos == std::string::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return Status::ParseError("manifest missing crc trailer");
-  }
-  std::string crc_line = text.substr(crc_pos);
-  while (!crc_line.empty() &&
-         (crc_line.back() == '\n' || crc_line.back() == '\r')) {
-    crc_line.pop_back();
-  }
-  uint32_t stated = 0;
-  if (!ParseCrc32Hex(std::string_view(crc_line).substr(4), &stated)) {
-    return Status::ParseError("manifest crc trailer malformed");
-  }
-  std::string body = text.substr(0, crc_pos);
-  if (Crc32(body) != stated) {
-    return Status::ParseError("manifest checksum mismatch");
-  }
+  // The trailer covers every byte before it; verify it before trusting any
+  // field.
+  StatusOr<std::string> body = CheckTrailer(text, "manifest");
+  if (!body.ok()) return body.status();
 
   Manifest manifest;
   bool saw_magic = false;
   bool saw_generation = false;
-  for (std::string& line : Split(body, '\n')) {
+  for (std::string& line : Split(*body, '\n')) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::vector<std::string> tokens = Split(line, ' ');

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/strings.h"
@@ -30,14 +31,13 @@ uint32_t ReadU32Le(const char* p) {
          static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.size() > 20) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+/// A put's or del's id: a decimal that fits a DocId.
+bool ParseDocId(std::string_view text, DocId* out) {
+  uint64_t id = 0;
+  if (!ParseU64(text, &id) || id > static_cast<uint64_t>(INT64_MAX)) {
+    return false;
   }
-  *out = value;
+  *out = static_cast<DocId>(id);
   return true;
 }
 
@@ -82,34 +82,34 @@ std::string EncodeWalRecord(const WalRecord& record) {
   return frame;
 }
 
-StatusOr<WalRecord> ParseWalPayload(const std::string& payload) {
+StatusOr<WalRecord> ParseWalPayload(std::string_view payload) {
   const size_t space = payload.find(' ');
-  const std::string op =
-      space == std::string::npos ? payload : payload.substr(0, space);
-  const std::string rest =
-      space == std::string::npos ? "" : payload.substr(space + 1);
+  const std::string_view op = payload.substr(0, space);
+  const std::string_view rest =
+      space == std::string_view::npos ? std::string_view()
+                                      : payload.substr(space + 1);
   WalRecord record;
   if (op == "put") {
     record.type = WalRecord::Type::kPut;
     const size_t id_end = rest.find(' ');
-    uint64_t id = 0;
-    if (id_end == std::string::npos ||
-        !ParseU64(std::string_view(rest).substr(0, id_end), &id)) {
+    if (id_end == std::string_view::npos ||
+        !ParseDocId(rest.substr(0, id_end), &record.id)) {
       return Status::ParseError("wal: malformed put record");
     }
-    record.id = static_cast<DocId>(id);
-    record.doc_json = rest.substr(id_end + 1);
-    // The document itself is validated at replay; an unparseable body is
-    // indistinguishable from bit rot and rejects the tail there.
+    record.doc_json = std::string(rest.substr(id_end + 1));
+    // A body that is not an object is indistinguishable from bit rot.
+    StatusOr<Value> doc = ParseJson(record.doc_json);
+    if (!doc.ok() || !doc->is_object()) {
+      return Status::ParseError("wal: put document is not a JSON object");
+    }
+    record.doc = std::move(doc).value();
     return record;
   }
   if (op == "del") {
     record.type = WalRecord::Type::kDelete;
-    uint64_t id = 0;
-    if (!ParseU64(rest, &id)) {
+    if (!ParseDocId(rest, &record.id)) {
       return Status::ParseError("wal: malformed del record");
     }
-    record.id = static_cast<DocId>(id);
     return record;
   }
   if (op == "seg") {
@@ -142,59 +142,71 @@ StatusOr<WalRecord> ParseWalPayload(const std::string& payload) {
     // Owner is free-form (it may contain spaces), so it is everything after
     // the token rather than a whitespace-split field.
     const size_t token_end = rest.find(' ');
-    const std::string_view token_text =
-        std::string_view(rest).substr(0, token_end);
-    if (!ParseU64(token_text, &record.token)) {
+    if (!ParseU64(rest.substr(0, token_end), &record.token)) {
       return Status::ParseError("wal: malformed promo record");
     }
-    if (token_end != std::string::npos) {
-      record.owner = rest.substr(token_end + 1);
+    if (token_end != std::string_view::npos) {
+      record.owner = std::string(rest.substr(token_end + 1));
     }
     return record;
   }
-  return Status::ParseError("wal: unknown record op '" + op + "'");
+  return Status::ParseError("wal: unknown record op '" + std::string(op) +
+                            "'");
 }
 
-WalSegmentContents DecodeWalSegment(const std::string& bytes) {
-  WalSegmentContents out;
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      out.truncated = 1;
-      out.problem = "incomplete frame header at offset " + std::to_string(pos);
-      return out;
-    }
-    const uint32_t length = ReadU32Le(bytes.data() + pos);
-    const uint32_t crc = ReadU32Le(bytes.data() + pos + 4);
-    if (length == 0) {
-      // A zero-length payload is never written; treat it as damage, not a
-      // torn tail (the header bytes themselves are wrong).
-      out.rejected = 1;
-      out.problem = "zero-length frame at offset " + std::to_string(pos);
-      return out;
-    }
-    if (bytes.size() - pos - kFrameHeaderBytes < length) {
-      out.truncated = 1;
-      out.problem = "torn frame at offset " + std::to_string(pos);
-      return out;
-    }
-    const std::string payload = bytes.substr(pos + kFrameHeaderBytes, length);
-    if (Crc32(payload) != crc) {
-      out.rejected = 1;
-      out.problem = "CRC mismatch at offset " + std::to_string(pos);
-      return out;
-    }
-    StatusOr<WalRecord> record = ParseWalPayload(payload);
-    if (!record.ok()) {
-      out.rejected = 1;
-      out.problem = record.status().message() + " at offset " +
-                    std::to_string(pos);
-      return out;
-    }
-    out.records.push_back(std::move(record).value());
-    pos += kFrameHeaderBytes + length;
+WalSegmentReader::WalSegmentReader(WalSegmentName segment)
+    : segment_(std::move(segment)) {}
+
+WalFrame WalSegmentReader::Next(std::string_view* rest) {
+  WalFrame frame;
+  const auto fail = [&](WalFrame::Verdict verdict, const std::string& what) {
+    frame.verdict = verdict;
+    frame.problem = what + " at offset " + std::to_string(offset_);
+    return frame;
+  };
+  if (rest->empty()) return frame;
+  if (rest->size() < kFrameHeaderBytes) {
+    return fail(WalFrame::Verdict::kTorn, "incomplete frame header");
   }
-  return out;
+  const uint32_t length = ReadU32Le(rest->data());
+  // A zero-length payload is never written: the header bytes themselves
+  // are wrong, which is damage, not a torn tail.
+  if (length == 0) {
+    return fail(WalFrame::Verdict::kCorrupt, "zero-length frame");
+  }
+  if (rest->size() - kFrameHeaderBytes < length) {
+    return fail(WalFrame::Verdict::kTorn, "torn frame");
+  }
+  const std::string_view payload = rest->substr(kFrameHeaderBytes, length);
+  if (Crc32(payload) != ReadU32Le(rest->data() + 4)) {
+    return fail(WalFrame::Verdict::kCorrupt, "CRC mismatch");
+  }
+  StatusOr<WalRecord> record = ParseWalPayload(payload);
+  if (!record.ok()) {
+    return fail(WalFrame::Verdict::kRejected, record.status().message());
+  }
+  const bool header = record->type == WalRecord::Type::kSegmentHeader;
+  if (!started_ && (!header || record->collection != segment_.collection ||
+                    record->base_generation != segment_.base_generation ||
+                    record->part != segment_.part)) {
+    // Renamed or damaged: none of the file can be trusted.
+    return fail(WalFrame::Verdict::kRejected,
+                "first record is not this segment's header");
+  }
+  if (started_ && header) {
+    return fail(WalFrame::Verdict::kRejected, "second segment header");
+  }
+  if (closed_) {
+    return fail(WalFrame::Verdict::kRejected,
+                "record after the checkpoint marker");
+  }
+  started_ = true;
+  closed_ = record->type == WalRecord::Type::kCheckpoint;
+  frame.verdict = WalFrame::Verdict::kRecord;
+  frame.record = std::move(record).value();
+  offset_ += kFrameHeaderBytes + length;
+  rest->remove_prefix(kFrameHeaderBytes + length);
+  return frame;
 }
 
 std::string WalSegmentFileName(const std::string& collection,

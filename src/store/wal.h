@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/file_io.h"
@@ -65,12 +66,18 @@ struct WalRecord {
   // kPut / kDelete.
   DocId id = 0;
   std::string doc_json;  // kPut only: compact JSON of the post-image
+  Value doc;             // kPut, when read back: doc_json parsed (an object)
   // kCheckpoint: the snapshot generation whose manifest committed.
   uint64_t generation = 0;
   // kPromotion: the fencing token the promoted writer acquired, plus its
   // owner string (diagnostics; may contain spaces, parsed as the tail).
   uint64_t token = 0;
   std::string owner;
+
+  /// True for the records that change data: put, del and drop.
+  bool is_mutation() const {
+    return type == Type::kPut || type == Type::kDelete || type == Type::kDrop;
+  }
 };
 
 /// Renders one record in its framed on-disk form:
@@ -78,21 +85,9 @@ struct WalRecord {
 std::string EncodeWalRecord(const WalRecord& record);
 
 /// Parses a frame payload. Total on arbitrary input: damage yields
-/// kParseError, never a crash.
-StatusOr<WalRecord> ParseWalPayload(const std::string& payload);
-
-/// Result of scanning one segment file. Scanning stops at the first
-/// damaged frame: everything after an unverifiable length/CRC is
-/// untrusted, so it is dropped rather than guessed at.
-struct WalSegmentContents {
-  std::vector<WalRecord> records;  // verified records, in append order
-  size_t truncated = 0;  // incomplete frame at the tail (torn append)
-  size_t rejected = 0;   // CRC/parse failure (bit rot) stopped the scan
-  std::string problem;   // reason the scan stopped early, for operators
-};
-
-/// Decodes a segment's bytes record by record.
-WalSegmentContents DecodeWalSegment(const std::string& bytes);
+/// kParseError, never a crash. A put's or del's id must fit a DocId, and a
+/// put's document must parse to a JSON object (filled into `doc`).
+StatusOr<WalRecord> ParseWalPayload(std::string_view payload);
 
 /// "news-0000000042-000003.wal" for collection "news", base generation 42,
 /// part 3.
@@ -111,10 +106,7 @@ struct WalSegmentName {
 StatusOr<WalSegmentName> ParseWalSegmentFileName(const std::string& name);
 
 /// One segment discovered in a store directory.
-struct WalSegmentInfo {
-  std::string collection;
-  uint64_t base_generation = 0;
-  uint64_t part = 0;
+struct WalSegmentInfo : WalSegmentName {
   std::string file;  // name within the directory
 };
 
@@ -122,6 +114,50 @@ struct WalSegmentInfo {
 /// directory listing.
 std::vector<WalSegmentInfo> ListWalSegments(
     const std::vector<std::string>& listing);
+
+/// What a WalSegmentReader found at its position in a segment.
+struct WalFrame {
+  enum class Verdict {
+    kRecord,    // a verified frame whose record fits the segment
+    kEnd,       // no bytes left: a clean frame boundary
+    kTorn,      // an incomplete frame: a torn append, or one still landing
+    kCorrupt,   // a zero-length frame or a CRC mismatch
+    kRejected,  // a CRC-valid frame whose record does not fit the segment
+  };
+  Verdict verdict = Verdict::kEnd;
+  WalRecord record;     // kRecord only
+  std::string problem;  // kTorn/kCorrupt/kRejected: what, at which offset
+};
+
+/// The one reader of a segment file. Recovery (Database::RecoverWal), the
+/// replication tailer (store/replication.h) and tools/walcat all read
+/// through it, so the same bytes get the same verdict everywhere. A frame
+/// must be complete, non-empty and match its CRC; its record must parse
+/// (ParseWalPayload) and fit the segment: the first record is the
+/// segment's own header (collection, base generation and part as its file
+/// name says), no later record is a header, and nothing follows a
+/// checkpoint marker. Nothing after the first frame that is not a kRecord
+/// can be trusted: recovery stops there, while the tailer re-reads a torn
+/// or corrupt tail of a segment the writer may still be appending to.
+class WalSegmentReader {
+ public:
+  explicit WalSegmentReader(WalSegmentName segment);
+
+  /// Decodes the frame at the front of `*rest`, which holds the segment's
+  /// bytes from offset() on. A kRecord advances offset() and `*rest` past
+  /// the frame; any other verdict leaves both as they were.
+  WalFrame Next(std::string_view* rest);
+
+  const WalSegmentName& segment() const { return segment_; }
+  /// Bytes of the segment consumed as kRecord frames so far.
+  uint64_t offset() const { return offset_; }
+
+ private:
+  WalSegmentName segment_;
+  uint64_t offset_ = 0;
+  bool started_ = false;  // the segment header has been read
+  bool closed_ = false;   // a checkpoint marker has been read
+};
 
 struct WalOptions {
   /// Group commit: buffered records are synced to the segment file once

@@ -120,6 +120,46 @@ TEST_F(CollectionFixture, IndexCreatedAfterInserts) {
   EXPECT_EQ(coll_->Count(Filter().Eq("likes", Value(int64_t{1500}))), 1u);
 }
 
+TEST_F(CollectionFixture, IndexedQueriesKeepInsertionOrderAfterRewrites) {
+  // Rewriting a document in place (Upsert, UpdateSet, RestorePut into a
+  // live or a dead slot) must not move it behind later documents of its
+  // index bucket: with or without an index, matches come in insertion order.
+  Collection indexed("tweets");
+  indexed.CreateIndex("user_id");
+  for (const Value& doc : coll_->All()) ASSERT_TRUE(indexed.Insert(doc).ok());
+  const Filter user1 = Filter().Eq("user_id", Value(int64_t{1}));
+  const Filter first = Filter().Eq("_id", Value(int64_t{0}));
+  const auto ids = [&](const Collection& c) {
+    std::vector<int64_t> out;
+    c.ForEach(user1, [&](DocId id, const Value&) {
+      out.push_back(id);
+      return true;
+    });
+    return out;
+  };
+  for (Collection* c : {coll_.get(), &indexed}) {
+    ASSERT_TRUE(c->Upsert(first, Doc(1, 60, "brexit vote")).ok());
+  }
+  StatusOr<Value> scanned = coll_->FindOne(user1);
+  StatusOr<Value> looked_up = indexed.FindOne(user1);
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_TRUE(looked_up.ok());
+  EXPECT_EQ(scanned->Find("_id")->AsInt(), 0);
+  EXPECT_EQ(looked_up->Find("_id")->AsInt(), 0);
+
+  for (Collection* c : {coll_.get(), &indexed}) {
+    EXPECT_EQ(c->UpdateSet(first, "likes", Value(int64_t{70})), 1u);
+    ASSERT_TRUE(c->RestorePut(0, Doc(1, 80, "brexit vote")).ok());
+  }
+  EXPECT_EQ(ids(indexed), (std::vector<int64_t>{0, 1}));
+  for (Collection* c : {coll_.get(), &indexed}) {
+    EXPECT_EQ(c->Remove(first), 1u);
+    ASSERT_TRUE(c->RestorePut(0, Doc(1, 90, "brexit vote")).ok());
+  }
+  EXPECT_EQ(ids(indexed), (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(ids(indexed), ids(*coll_));
+}
+
 TEST_F(CollectionFixture, AllPreservesInsertionOrder) {
   auto docs = coll_->All();
   ASSERT_EQ(docs.size(), 4u);

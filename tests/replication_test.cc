@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,13 +28,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr size_t kFrameHeaderBytes = 8;  // u32le length + u32le CRC-32
-
-uint32_t ReadU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
 
 class ReplicationFixture : public ::testing::Test {
  protected:
@@ -453,17 +447,17 @@ TEST_F(ReplicationFixture, PromotionRecordEveryByteFlipIsPrefixOrFlagged) {
   const std::string pristine = ReadRaw(name);
   // Locate the promotion frame.
   size_t promo_begin = 0, promo_end = 0;
-  for (size_t pos = 0; pos + kFrameHeaderBytes <= pristine.size();) {
-    const uint32_t length = ReadU32Le(pristine.data() + pos);
-    ASSERT_LE(pos + kFrameHeaderBytes + length, pristine.size());
-    StatusOr<WalRecord> record =
-        ParseWalPayload(pristine.substr(pos + kFrameHeaderBytes, length));
-    ASSERT_TRUE(record.ok());
-    if (record->type == WalRecord::Type::kPromotion) {
-      promo_begin = pos;
-      promo_end = pos + kFrameHeaderBytes + length;
+  WalSegmentReader reader({"articles", 0, 1});
+  std::string_view rest = pristine;
+  while (true) {
+    const size_t begin = reader.offset();
+    const WalFrame frame = reader.Next(&rest);
+    if (frame.verdict == WalFrame::Verdict::kEnd) break;
+    ASSERT_EQ(frame.verdict, WalFrame::Verdict::kRecord) << frame.problem;
+    if (frame.record.type == WalRecord::Type::kPromotion) {
+      promo_begin = begin;
+      promo_end = reader.offset();
     }
-    pos += kFrameHeaderBytes + length;
   }
   ASSERT_GT(promo_end, 0u);
 

@@ -111,6 +111,32 @@ TEST(SerializeTest, MalformedFilesRejected) {
   fs::remove(path);
 }
 
+TEST(SerializeTest, OnlyVersionTwoWithItsTrailerLoads) {
+  // A version-1 file (the same layout without the crc trailer) is no
+  // longer read: nothing writes it, and it cannot be checked.
+  MlpConfig cfg;
+  cfg.input_size = 4;
+  cfg.hidden_sizes = {4};
+  Model model = BuildMlp(cfg);
+  std::string path = TempPath("newsdiff_v1_model.txt");
+  ASSERT_TRUE(SaveWeights(model, path).ok());
+  std::string v2;
+  {
+    std::ifstream in(path, std::ios::binary);
+    v2.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(v2.rfind("newsdiff-model 2\n", 0), 0u);
+  const std::string v1 =
+      "newsdiff-model 1\n" +
+      v2.substr(v2.find('\n') + 1, v2.rfind("crc ") - v2.find('\n') - 1);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << v1;
+  }
+  EXPECT_FALSE(LoadWeights(model, path).ok());
+  fs::remove(path);
+}
+
 TEST(SerializeTest, CheckpointResumeContinuesTraining) {
   // Train a bit, checkpoint, reload, continue: loss keeps going down from
   // where it stopped (the paper's §4.9 incremental-training pattern).

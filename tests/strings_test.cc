@@ -65,6 +65,38 @@ TEST(IsDigitsTest, Basics) {
   EXPECT_FALSE(IsDigits("-1"));
 }
 
+TEST(DecimalFieldTest, ParseU64AcceptsExactlyTheU64Range) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseU64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseU64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseU64("000042", &v));
+  EXPECT_EQ(v, 42u);
+  v = 7;
+  for (const char* bad : {"", "18446744073709551616", "99999999999999999999",
+                          "-1", "+1", " 1", "1 ", "1a", "0x10"}) {
+    EXPECT_FALSE(ParseU64(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 7u);  // untouched on failure
+}
+
+TEST(DecimalFieldTest, ParseI64AcceptsExactlyTheI64Range) {
+  int64_t v = 7;
+  EXPECT_TRUE(ParseI64("-9223372036854775808", &v));
+  EXPECT_EQ(v, INT64_MIN);
+  EXPECT_TRUE(ParseI64("9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_TRUE(ParseI64("-0", &v));
+  EXPECT_EQ(v, 0);
+  v = 7;
+  for (const char* bad : {"", "-", "9223372036854775808",
+                          "-9223372036854775809", "--1", "+1", "1-"}) {
+    EXPECT_FALSE(ParseI64(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 7);
+}
+
 TEST(FormatDoubleTest, Digits) {
   EXPECT_EQ(FormatDouble(0.756, 2), "0.76");
   EXPECT_EQ(FormatDouble(1.0, 3), "1.000");

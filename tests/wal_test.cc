@@ -5,15 +5,20 @@
 #include "store/wal.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/retry.h"
 #include "datagen/faults.h"
 #include "store/database.h"
 #include "store/json.h"
+#include "store/replica.h"
 
 namespace newsdiff::store {
 namespace {
@@ -115,6 +120,39 @@ std::vector<std::string> ReferenceStates() {
   return states;
 }
 
+/// The records WalSegmentReader accepts from `bytes` read as `segment`,
+/// and the verdict that ended the scan.
+struct SegmentScan {
+  std::vector<WalRecord> records;
+  WalFrame::Verdict verdict = WalFrame::Verdict::kEnd;
+};
+
+SegmentScan ReadSegment(const WalSegmentName& segment,
+                        const std::string& bytes) {
+  SegmentScan scan;
+  WalSegmentReader reader(segment);
+  std::string_view rest = bytes;
+  while (true) {
+    WalFrame frame = reader.Next(&rest);
+    scan.verdict = frame.verdict;
+    if (frame.verdict != WalFrame::Verdict::kRecord) return scan;
+    scan.records.push_back(std::move(frame.record));
+  }
+}
+
+/// Frames an arbitrary payload exactly as the writer frames a record.
+std::string Frame(const std::string& payload) {
+  std::string frame;
+  const uint32_t words[] = {static_cast<uint32_t>(payload.size()),
+                            Crc32(payload)};
+  for (uint32_t word : words) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      frame.push_back(static_cast<char>((word >> shift) & 0xff));
+    }
+  }
+  return frame + payload;
+}
+
 TEST(WalRecord, FramingRoundTrip) {
   WalRecord header;
   header.type = WalRecord::Type::kSegmentHeader;
@@ -138,9 +176,8 @@ TEST(WalRecord, FramingRoundTrip) {
   std::string bytes = EncodeWalRecord(header) + EncodeWalRecord(put) +
                       EncodeWalRecord(del) + EncodeWalRecord(drop) +
                       EncodeWalRecord(ckpt);
-  WalSegmentContents decoded = DecodeWalSegment(bytes);
-  EXPECT_EQ(decoded.truncated, 0u);
-  EXPECT_EQ(decoded.rejected, 0u);
+  SegmentScan decoded = ReadSegment({"news-articles", 42, 3}, bytes);
+  EXPECT_EQ(decoded.verdict, WalFrame::Verdict::kEnd);
   ASSERT_EQ(decoded.records.size(), 5u);
   EXPECT_EQ(decoded.records[0].type, WalRecord::Type::kSegmentHeader);
   EXPECT_EQ(decoded.records[0].collection, "news-articles");
@@ -158,17 +195,62 @@ TEST(WalRecord, FramingRoundTrip) {
 }
 
 TEST(WalRecord, TruncatedTailStopsScan) {
+  WalRecord header;
+  header.type = WalRecord::Type::kSegmentHeader;
+  header.collection = "articles";
+  header.part = 1;
   WalRecord del;
   del.type = WalRecord::Type::kDelete;
   del.id = 1;
-  std::string bytes = EncodeWalRecord(del) + EncodeWalRecord(del);
+  std::string bytes =
+      EncodeWalRecord(header) + EncodeWalRecord(del) + EncodeWalRecord(del);
   for (size_t cut = 1; cut < EncodeWalRecord(del).size(); ++cut) {
-    WalSegmentContents decoded =
-        DecodeWalSegment(bytes.substr(0, bytes.size() - cut));
-    EXPECT_EQ(decoded.records.size(), 1u);
-    EXPECT_EQ(decoded.truncated, 1u);
-    EXPECT_EQ(decoded.rejected, 0u);
+    SegmentScan decoded =
+        ReadSegment({"articles", 0, 1}, bytes.substr(0, bytes.size() - cut));
+    ASSERT_EQ(decoded.records.size(), 2u);  // the header and one del
+    EXPECT_EQ(decoded.records[1].type, WalRecord::Type::kDelete);
+    EXPECT_EQ(decoded.verdict, WalFrame::Verdict::kTorn);
   }
+}
+
+TEST(WalSegmentReader, DamageIsReportedWithoutAdvancing) {
+  const std::string header = Frame("seg articles 0 1 0");
+  const std::string put = Frame("put 0 {\"k\":0}");
+  std::string rotten = put;
+  rotten.back() ^= 0x01;  // the payload no longer matches its CRC
+  struct Case {
+    std::string tail;
+    WalFrame::Verdict verdict;
+    std::string problem;
+  };
+  const std::vector<Case> cases = {
+      {std::string(8, '\0'), WalFrame::Verdict::kCorrupt,
+       "zero-length frame at offset 26"},
+      {rotten, WalFrame::Verdict::kCorrupt, "CRC mismatch at offset 26"},
+      {put.substr(0, 5), WalFrame::Verdict::kTorn,
+       "incomplete frame header at offset 26"},
+      {put.substr(0, put.size() - 1), WalFrame::Verdict::kTorn,
+       "torn frame at offset 26"},
+      {Frame("put 1 {\"k\":1} trailing"), WalFrame::Verdict::kRejected,
+       "wal: put document is not a JSON object at offset 26"},
+  };
+  for (const Case& c : cases) {
+    WalSegmentReader reader({"articles", 0, 1});
+    const std::string bytes = header + c.tail;
+    std::string_view rest = bytes;
+    ASSERT_EQ(reader.Next(&rest).verdict, WalFrame::Verdict::kRecord);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const WalFrame frame = reader.Next(&rest);
+      EXPECT_EQ(frame.verdict, c.verdict) << c.problem;
+      EXPECT_EQ(frame.problem, c.problem);
+      EXPECT_EQ(reader.offset(), header.size());
+      EXPECT_EQ(rest.size(), c.tail.size());
+    }
+  }
+  // A header that names another segment rejects the whole file.
+  EXPECT_EQ(ReadSegment({"articles", 0, 2}, header + put).verdict,
+            WalFrame::Verdict::kRejected);
+  EXPECT_EQ(ReadSegment({"articles", 0, 2}, header + put).records.size(), 0u);
 }
 
 TEST(WalSegmentName, RoundTripIncludingDashedCollections) {
@@ -581,6 +663,84 @@ TEST_F(WalFixture, WalCheckpointBytesAreODeltaNotOStore) {
   // under a tenth of that.
   EXPECT_LT(delta_bytes, 6000u);
   EXPECT_GT(delta_bytes, 0u);
+}
+
+/// A segment whose third frame is bad: recovery, a replica and walcat must
+/// all stop there. Each applies only the put before it, recovery counts one
+/// rejected record, and `walcat --verify` fails naming the problem recovery
+/// reports.
+class WalRejectFixture : public WalFixture {
+ protected:
+  void ExpectStopsEverywhere(const std::string& bad,
+                             size_t replica_damaged_segments = 1) {
+    const std::string file = WalSegmentFileName("articles", 0, 1);
+    WriteRaw(file, Frame("seg articles 0 1 0") + Frame("put 0 {\"k\":0}") +
+                       bad + Frame("put 2 {\"k\":2}"));
+    Database want;
+    ASSERT_TRUE(want.GetOrCreate("articles")
+                    .RestorePut(0, MakeObject({{"k", int64_t{0}}}))
+                    .ok());
+
+    // walcat first, then the replica: recovery attaches a WAL to the dir.
+    const std::string command =
+        std::string(NEWSDIFF_WALCAT) + " --verify " + dir() + " 2>&1";
+    FILE* pipe = popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string walcat;
+    char line[512];
+    while (std::fgets(line, sizeof(line), pipe) != nullptr) walcat += line;
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << walcat;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << walcat;
+
+    Database replicated;
+    Replica replica(dir(), &replicated);
+    ASSERT_TRUE(replica.Poll().ok());
+    EXPECT_EQ(replica.stats().records_applied, 1u);
+    EXPECT_EQ(replica.tailer_stats()->damaged_segments,
+              replica_damaged_segments);
+    EXPECT_EQ(Fingerprint(replicated), Fingerprint(want));
+
+    Database recovered;
+    SnapshotLoadReport report;
+    ASSERT_TRUE(
+        recovered.RecoverWal(dir(), SnapshotOptions{}, WalOptions{}, &report)
+            .ok());
+    EXPECT_EQ(report.wal_records_replayed, 1u);
+    EXPECT_EQ(report.wal_records_rejected, 1u);
+    EXPECT_EQ(report.wal_records_truncated, 0u);
+    EXPECT_EQ(Fingerprint(recovered), Fingerprint(want));
+    ASSERT_EQ(report.problems.size(), 1u);
+    const std::string prefix = "wal " + file + ": ";
+    ASSERT_EQ(report.problems[0].rfind(prefix, 0), 0u) << report.problems[0];
+    EXPECT_NE(walcat.find("rejected: " + report.problems[0].substr(
+                              prefix.size())),
+              std::string::npos)
+        << walcat << report.problems[0];
+  }
+};
+
+TEST_F(WalRejectFixture, SecondSegmentHeaderMidSegment) {
+  ExpectStopsEverywhere(Frame("seg articles 0 1 0"));
+}
+
+TEST_F(WalRejectFixture, PutDocumentThatIsNotAnObject) {
+  ExpectStopsEverywhere(Frame("put 1 [1,2]"));
+}
+
+TEST_F(WalRejectFixture, PutIdAboveTheLargestDocId) {
+  ExpectStopsEverywhere(Frame("put 9223372036854775808 {\"k\":1}"));
+}
+
+TEST_F(WalRejectFixture, PutIdAboveTheLargestU64) {
+  ExpectStopsEverywhere(Frame("put 18446744073709551616 {\"k\":1}"));
+}
+
+TEST_F(WalRejectFixture, RecordAfterTheCheckpointMarker) {
+  // The tailer moves on at the marker without reading further, so it
+  // abandons nothing; what it applied still matches recovery.
+  ExpectStopsEverywhere(Frame("ckpt 1") + Frame("put 1 {\"k\":1}"),
+                        /*replica_damaged_segments=*/0);
 }
 
 }  // namespace

@@ -7,42 +7,34 @@
 // order), prints one line per frame — offset, record type, and the fields
 // that matter operationally (ids, checkpoint generations, promotion fencing
 // tokens) — then a trailer summarising whether the segment is intact, ends
-// in a torn tail, or was rejected at damage. The first record is checked
-// against the file name (collection, base generation, part), the same
-// validation recovery and the replication tailer apply.
+// in a torn tail, or was rejected at damage. Segments are read with the
+// WalSegmentReader that recovery and the replication tailer use, so walcat
+// reports exactly the records they would apply and stops where they stop.
 //
 // --verify prints only the trailers and exits nonzero if any segment is
-// damaged or mislabelled, so it can gate scripts and CI jobs.
+// damaged, torn or mislabelled, so it can gate scripts and CI jobs.
 
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/file_io.h"
 #include "common/status.h"
 #include "store/wal.h"
 
 namespace {
 
-using newsdiff::Crc32;
 using newsdiff::FileIo;
-using newsdiff::Status;
 using newsdiff::StatusOr;
 using newsdiff::store::ListWalSegments;
-using newsdiff::store::ParseWalPayload;
 using newsdiff::store::ParseWalSegmentFileName;
+using newsdiff::store::WalFrame;
 using newsdiff::store::WalRecord;
 using newsdiff::store::WalSegmentInfo;
-
-constexpr size_t kFrameHeaderBytes = 8;  // u32le length + u32le CRC-32
-
-uint32_t ReadU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
+using newsdiff::store::WalSegmentName;
+using newsdiff::store::WalSegmentReader;
 
 std::string DescribeRecord(const WalRecord& record) {
   switch (record.type) {
@@ -71,80 +63,42 @@ std::string DescribeRecord(const WalRecord& record) {
 bool DumpSegment(FileIo& io, const std::string& path, const std::string& name,
                  bool verify_only) {
   std::printf("== %s\n", path.c_str());
-  StatusOr<newsdiff::store::WalSegmentName> parsed =
-      ParseWalSegmentFileName(name);
+  StatusOr<WalSegmentName> parsed = ParseWalSegmentFileName(name);
   if (!parsed.ok()) {
     std::printf("-- DAMAGED: not a well-formed segment file name\n");
     return false;
   }
-  const std::string& collection = parsed->collection;
-  const uint64_t base = parsed->base_generation;
-  const uint64_t part = parsed->part;
-
   StatusOr<std::string> bytes = io.ReadFile(path);
   if (!bytes.ok()) {
     std::printf("-- DAMAGED: %s\n", bytes.status().message().c_str());
     return false;
   }
 
-  size_t pos = 0, records = 0;
-  bool intact = true;
-  std::string problem;
-  while (pos < bytes->size()) {
-    const size_t remaining = bytes->size() - pos;
-    if (remaining < kFrameHeaderBytes) {
-      intact = false;
-      problem = "torn tail: incomplete frame header at offset " +
-                std::to_string(pos);
-      break;
+  WalSegmentReader reader(std::move(parsed).value());
+  std::string_view rest = *bytes;
+  size_t records = 0;
+  while (true) {
+    const size_t offset = reader.offset();
+    WalFrame frame = reader.Next(&rest);
+    if (frame.verdict == WalFrame::Verdict::kEnd) {
+      std::printf("-- %zu records, %zu bytes, intact\n", records,
+                  bytes->size());
+      return true;
     }
-    const uint32_t length = ReadU32Le(bytes->data() + pos);
-    const uint32_t stated_crc = ReadU32Le(bytes->data() + pos + 4);
-    if (length == 0) {
-      intact = false;
-      problem = "rejected: zero-length frame at offset " + std::to_string(pos);
-      break;
-    }
-    if (remaining - kFrameHeaderBytes < length) {
-      intact = false;
-      problem = "torn tail: frame truncated at offset " + std::to_string(pos);
-      break;
-    }
-    const std::string payload = bytes->substr(pos + kFrameHeaderBytes, length);
-    if (Crc32(payload) != stated_crc) {
-      intact = false;
-      problem = "rejected: CRC mismatch at offset " + std::to_string(pos);
-      break;
-    }
-    StatusOr<WalRecord> record = ParseWalPayload(payload);
-    if (!record.ok()) {
-      intact = false;
-      problem = "rejected: " + record.status().message() + " at offset " +
-                std::to_string(pos);
-      break;
-    }
-    if (records == 0 &&
-        (record->type != WalRecord::Type::kSegmentHeader ||
-         record->collection != collection || record->base_generation != base ||
-         record->part != part)) {
-      intact = false;
-      problem = "rejected: first record is not this segment's header";
-      break;
+    if (frame.verdict != WalFrame::Verdict::kRecord) {
+      std::printf("-- %zu records verified, then %s: %s (%zu of %zu bytes "
+                  "dropped)\n",
+                  records,
+                  frame.verdict == WalFrame::Verdict::kTorn ? "torn tail"
+                                                            : "rejected",
+                  frame.problem.c_str(), rest.size(), bytes->size());
+      return false;
     }
     if (!verify_only) {
-      std::printf("%010zu %s\n", pos, DescribeRecord(*record).c_str());
+      std::printf("%010zu %s\n", offset, DescribeRecord(frame.record).c_str());
     }
     ++records;
-    pos += kFrameHeaderBytes + length;
   }
-
-  if (intact) {
-    std::printf("-- %zu records, %zu bytes, intact\n", records, bytes->size());
-  } else {
-    std::printf("-- %zu records verified, then %s (%zu of %zu bytes dropped)\n",
-                records, problem.c_str(), bytes->size() - pos, bytes->size());
-  }
-  return intact;
 }
 
 int Usage() {
